@@ -551,6 +551,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID_INPUT
+    except MemoryError as exc:
+        # e.g. a huge --chunk: each MC chunk's draws are allocated at once
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
+        return EXIT_INVALID_INPUT
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ cancellation, 1 means no cancellation at all.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -140,6 +140,11 @@ class SystemConfig:
     noise_dbm: float | None = None
 
     def __post_init__(self):
+        # NaN fails no comparison below, so non-finite values go first
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.d1 <= 0 or self.d2 <= 0:
             raise ValueError("user distances must be positive")
         if self.d1 > self.d2:

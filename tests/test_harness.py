@@ -1,11 +1,17 @@
 """Tests for the experiment runners, config files, output, and CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import noma_pop
 import noma_pop.montecarlo
+from noma_pop import harness
 from noma_pop import McConfig, optimize, pop_value, reference_config
 from noma_pop.harness import (
     EXIT_INVALID_INPUT,
@@ -266,6 +272,47 @@ class TestCli:
     def test_missing_config_file(self):
         assert main(["pop", "--config", "/nonexistent.cfg"]) \
             == EXIT_INVALID_INPUT
+
+    @pytest.mark.parametrize("text, command", [
+        ("d2 = nan\n", ["optimize"]),
+        ("rho_t_db = nan\n", ["validate-mc", "--count", "3"] + FAST),
+        ("rho_t_db = inf\n", ["pop", "--alpha", "0.5"]),
+        ("pt_dbm = inf\nnoise_dbm = inf\n", ["pop", "--alpha", "0.5"]),
+    ])
+    def test_non_finite_config_rejected(self, tmp_path, capsys, text,
+                                        command):
+        path = write_config(tmp_path, text)
+        assert main(command + ["--config", path]) == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert "must be finite" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("owner, command", [
+        (harness, ["pop", "--alpha", "0.5", "--with-mc"]),
+        (noma_pop.montecarlo, ["validate-mc", "--count", "3"]),
+    ])
+    def test_memory_error_is_invalid_input(self, monkeypatch, capsys, owner,
+                                           command):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.45 GiB")
+
+        monkeypatch.setattr(owner, "pop_estimate", exhausted)
+        assert main(command) == EXIT_INVALID_INPUT
+        err = capsys.readouterr().err
+        assert err == "error: out of memory: Unable to allocate 7.45 GiB\n"
+
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        src = Path(noma_pop.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "noma_pop", "pop", "--alpha", "0.5"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert main(["pop", "--alpha", "0.5"]) == EXIT_OK
+        assert proc.stdout == capsys.readouterr().out
+
+    def test_import_does_not_run_the_cli(self):
+        assert "noma_pop.__main__" not in sys.modules
 
     def test_sweep_alpha_csv(self, tmp_path):
         out = tmp_path / "sweep.csv"

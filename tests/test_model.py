@@ -303,6 +303,18 @@ class TestSystemConfig:
                      path_loss_exponent=3, rho_t_db=60, beta=0.2,
                      r1_th=0.1, r2_th=0.1, pt_dbm=-30.0, noise_dbm=-90.0)
 
+    @pytest.mark.parametrize("field", [
+        "d1", "d2", "path_loss_constant", "path_loss_exponent", "rho_t_db",
+        "beta", "r1_th", "r2_th", "pt_dbm", "noise_dbm"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, field, bad):
+        values = dict(d1=50, d2=100, path_loss_constant=1,
+                      path_loss_exponent=3, rho_t_db=60, beta=0.2,
+                      r1_th=0.1, r2_th=0.1, pt_dbm=-30.0, noise_dbm=-90.0)
+        values[field] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SystemConfig(**values)
+
     def test_derived_params(self, ref_config, ref_derived):
         assert ref_derived.pi1 == sinr_threshold(ref_config.r1_th)
         assert ref_derived.lambda1 >= ref_derived.lambda2

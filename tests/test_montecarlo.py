@@ -15,7 +15,13 @@ from noma_pop import (
     sample_gains,
     validate,
 )
-from noma_pop.montecarlo import chunk_rng, count_successes, point_seed
+import noma_pop.montecarlo
+from noma_pop.montecarlo import (
+    BLOCK,
+    chunk_rng,
+    count_successes,
+    point_seed,
+)
 
 FAST_MC = McConfig(trials=200_000, seed=99, chunk=50_000)
 
@@ -37,6 +43,20 @@ class TestSampling:
         g1, g2 = sample_gains(chunk_rng(43, 0), lam1, 1e-6, size=1_000_000)
         assert abs(np.mean(g1 > lam1) - math.exp(-1)) <= 0.002
         assert abs(np.mean(g2 > 1e-6) - math.exp(-1)) <= 0.002
+
+    def test_in_place_transform_matches_formula(self):
+        lam1, lam2 = 8e-6, 1e-6
+        g1, g2 = sample_gains(chunk_rng(5, 3), lam1, lam2, size=70_001)
+        rng = chunk_rng(5, 3)
+        u1, u2 = rng.random(70_001), rng.random(70_001)
+        assert np.array_equal(g1, -lam1 * np.log1p(-u1))
+        assert np.array_equal(g2, -lam2 * np.log1p(-u2))
+
+    def test_scalar_draw(self):
+        g1, g2 = sample_gains(chunk_rng(5, 3), 8e-6, 1e-6)
+        rng = chunk_rng(5, 3)
+        assert g1 == -8e-6 * np.log1p(-rng.random())
+        assert g2 == -1e-6 * np.log1p(-rng.random())
 
     def test_rejects_bad_means(self):
         with pytest.raises(ValueError):
@@ -109,6 +129,49 @@ class TestEstimator:
                                enforce_ordering=True)
         assert 0.0 <= ordered.pop_hat <= 1.0
         assert ordered.pop_hat != plain.pop_hat
+
+
+class TestPinnedCounts:
+    """Exact success counts; any drift in the random stream, the chunking
+    or the order of floating-point operations changes them."""
+
+    @pytest.mark.parametrize(
+        "overrides, alpha, trials, chunk, seed, ordering, reverse, expected", [
+            ({}, 0.5, 10_000, 250_000, 3, False, False, 8427),
+            ({}, 0.3, 100_000, 50_000, 11, False, False, 72561),
+            ({}, 0.5, 70_001, 30_000, 12345, False, False, 58718),
+            ({"beta": 0.0}, 0.4, 70_001, 30_000, 5, False, False, 55987),
+            ({"beta": 1.0}, 0.6, 70_001, 30_000, 6, False, False, 55945),
+            ({}, 0.5, 70_001, 30_000, 8, True, False, 58887),
+            ({}, 0.5, 70_001, 30_000, 12345, False, True, 58718),
+            ({}, 0.2, 500_000, 250_000, 21, False, False, 288002),
+        ], ids=["below_block", "chunk_not_block_multiple", "remainder",
+                "beta_0", "beta_1", "enforce_ordering", "reversed_order",
+                "full_chunks"])
+    def test_count(self, overrides, alpha, trials, chunk, seed, ordering,
+                   reverse, expected):
+        cfg = dataclasses.replace(reference_config(), **overrides)
+        mc = McConfig(trials=trials, seed=seed, chunk=chunk)
+        chunks = -(-trials // chunk)
+        order = list(reversed(range(chunks))) if reverse else None
+        assert count_successes(cfg, alpha, mc, enforce_ordering=ordering,
+                               chunk_order=order) == expected
+
+    def test_cases_straddle_the_block(self):
+        assert 10_000 < BLOCK < 30_000
+        assert 50_000 % BLOCK != 0 and 30_000 % BLOCK != 0
+
+    @pytest.mark.parametrize("block", [1_000, 7_919, 30_000, 1_000_000])
+    @pytest.mark.parametrize("ordering", [False, True])
+    def test_block_size_does_not_change_the_count(self, monkeypatch,
+                                                  ref_config, block,
+                                                  ordering):
+        mc = McConfig(trials=70_001, seed=4, chunk=30_000)
+        want = count_successes(ref_config, 0.45, mc,
+                               enforce_ordering=ordering)
+        monkeypatch.setattr(noma_pop.montecarlo, "BLOCK", block)
+        assert count_successes(ref_config, 0.45, mc,
+                               enforce_ordering=ordering) == want
 
 
 class TestZScore:
