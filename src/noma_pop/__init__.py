@@ -8,17 +8,14 @@ __version__ = "0.1.0"
 
 from .model import (
     Breakpoints,
-    DecodingOrder,
     DerivedParams,
     SinrTuple,
     SystemConfig,
     ZetaTuple,
     breakpoints,
     db_to_linear,
-    enumerate_decoding_orders,
     mean_gain,
     reference_config,
-    rate,
     sinr_threshold,
     sinrs,
     zetas,
@@ -61,9 +58,8 @@ from .montecarlo import (
 
 __all__ = [
     "__version__",
-    "Breakpoints", "DecodingOrder", "DerivedParams", "SinrTuple",
-    "SystemConfig", "ZetaTuple", "breakpoints", "db_to_linear",
-    "enumerate_decoding_orders", "mean_gain", "reference_config", "rate",
+    "Breakpoints", "DerivedParams", "SinrTuple", "SystemConfig", "ZetaTuple",
+    "breakpoints", "db_to_linear", "mean_gain", "reference_config",
     "sinr_threshold", "sinrs", "zetas",
     "Case", "CaseRegion", "NotDifferentiableError", "PopValue",
     "classify_case", "dpop_dalpha", "gain_ccdf", "pop", "pop_curve",

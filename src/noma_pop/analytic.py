@@ -49,11 +49,6 @@ class CaseRegion:
     label: Case
     active_interval: tuple[float, float]
 
-    @property
-    def is_empty(self) -> bool:
-        lo, hi = self.active_interval
-        return not lo < hi
-
 
 class NotDifferentiableError(ValueError):
     """POP has no classical derivative at this split (Case 5 or a breakpoint)."""

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
-import numpy as np
-
 # rho_t consistency check between rho_t_db and pt_dbm - noise_dbm, in dB
 RHO_CONSISTENCY_TOL_DB = 1e-9
 
@@ -47,11 +45,6 @@ def sinr_threshold(r_th: float) -> float:
     return 2.0 ** r_th - 1.0
 
 
-def rate(gamma):
-    """Shannon rate log2(1 + gamma) in bits/s/Hz. Accepts scalars or arrays."""
-    return np.log2(1.0 + gamma)
-
-
 class SinrTuple(NamedTuple):
     """The four decode SINRs; gamma_nm is the SINR of user n's data at user m.
 
@@ -77,47 +70,6 @@ def sinrs(alpha: float, g1, g2, beta: float, rho_t: float) -> SinrTuple:
     gamma11 = alpha * g1 / ((1.0 - alpha) * beta * g1 + inv_rho)
     gamma22 = (1.0 - alpha) * g2 / (alpha * beta * g2 + inv_rho)
     return SinrTuple(gamma21, gamma12, gamma11, gamma22)
-
-
-@dataclass(frozen=True)
-class DecodingOrder:
-    """2x2 decoding-order matrix; column m is the SIC sequence of user m.
-
-    matrix[k-1][m-1] = n means user m decodes user n's data at stage k; each
-    column is a permutation of {1, 2}.
-    """
-
-    order_index: int
-    matrix: tuple[tuple[int, int], tuple[int, int]]
-
-    def column(self, m: int) -> tuple[int, int]:
-        """SIC sequence (stage-1 target, stage-2 target) of user m (1-based)."""
-        return (self.matrix[0][m - 1], self.matrix[1][m - 1])
-
-    def __post_init__(self):
-        for m in (1, 2):
-            if sorted(self.column(m)) != [1, 2]:
-                raise ValueError(f"column {m} of order {self.order_index} "
-                                 "is not a permutation of {1, 2}")
-
-
-def enumerate_decoding_orders() -> list[DecodingOrder]:
-    """All four admissible decoding orders of the untrusted two-user pair.
-
-    Order 2 (each user decodes the other's message first, then its own after
-    SIC) is the one the analytic chain models.
-    """
-    columns = [
-        ((2, 1), (2, 1)),  # order 1
-        ((2, 1), (1, 2)),  # order 2
-        ((1, 2), (2, 1)),  # order 3
-        ((1, 2), (1, 2)),  # order 4
-    ]
-    orders = []
-    for idx, (d1, d2) in enumerate(columns, start=1):
-        matrix = ((d1[0], d2[0]), (d1[1], d2[1]))
-        orders.append(DecodingOrder(order_index=idx, matrix=matrix))
-    return orders
 
 
 @dataclass(frozen=True)

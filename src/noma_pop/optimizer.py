@@ -237,3 +237,15 @@ def grid_oracle(config: SystemConfig,
     values, _ = pop_curve(alphas, derived)
     idx = int(np.argmin(values))  # first minimum = smallest alpha
     return float(alphas[idx]), float(values[idx])
+
+
+def grid_min_near(config: SystemConfig, alpha: float, grid_pop: float,
+                  step: float = 1e-5) -> bool:
+    """Whether a ``grid_oracle`` grid point within ``step`` of ``alpha``
+    attains the grid minimum ``grid_pop``. Unlike the oracle's argmin, which
+    breaks ties toward 0, this holds where POP is flat (saturated at 1)."""
+    k = round(alpha / step)
+    alphas = np.arange(max(k - 1, 1), k + 2) * step
+    alphas = alphas[(np.abs(alphas - alpha) <= step) & (alphas < 1.0)]
+    values, _ = pop_curve(alphas, DerivedParams.from_config(config))
+    return bool(np.any(values == grid_pop))

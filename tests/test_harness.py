@@ -359,3 +359,45 @@ class TestCli:
 
     def test_snr_sweep_cli(self, capsys):
         assert main(["sweep-snr", "--count", "3"]) == EXIT_OK
+
+
+class TestSweepBounds:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bound", [["--stop", "inf"], ["--start", "nan"]])
+    @pytest.mark.parametrize("command", ["sweep-alpha", "sweep-threshold",
+                                         "sweep-snr", "compare",
+                                         "validate-mc"])
+    def test_cli_rejects_non_finite_bound(self, capsys, command, bound):
+        assert main([command] + bound + FAST) == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
+class TestOptimizeCheck:
+    def test_saturated_config_passes(self, tmp_path, capsys):
+        # every split gives POP == 1.0 here, so the grid's first minimum is
+        # its first point, far from the closed-form optimum
+        path = write_config(tmp_path, "d2 = 178.32\nrho_t_db = 38.35\n"
+                                      "beta = 0.453\nr1_th = 0.127\n"
+                                      "r2_th = 0.206\n")
+        assert main(["optimize", "--check", "--config", path]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert "# grid_alpha=1e-05\n" in captured.out
+        assert "# pop_star=1.0\n" in captured.out
+        assert captured.out.endswith("# check_ok=1\n")
+        assert captured.err == ""
+
+    def test_shifted_optimum_still_fails(self, monkeypatch, capsys):
+        real = harness.optimize
+
+        def shifted(config):
+            alpha_star, pop_star, candidates = real(config)
+            return alpha_star + 3e-5, pop_star, candidates
+
+        monkeypatch.setattr(harness, "optimize", shifted)
+        assert main(["optimize", "--check"]) == EXIT_VALIDATION_FAILURE
+        captured = capsys.readouterr()
+        assert captured.out.endswith("# check_ok=0\n")
+        assert "disagrees with the grid search" in captured.err

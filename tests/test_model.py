@@ -11,10 +11,8 @@ from noma_pop import (
     SystemConfig,
     breakpoints,
     db_to_linear,
-    enumerate_decoding_orders,
     mean_gain,
     reference_config,
-    rate,
     sinr_threshold,
     sinrs,
     zetas,
@@ -52,11 +50,6 @@ class TestConversions:
         # direct evaluation of 2**0.1 - 1
         assert sinr_threshold(0.1) == pytest.approx(0.0717734625362931,
                                                     rel=1e-12)
-
-    def test_rate(self):
-        assert rate(0.0) == 0.0
-        assert rate(1.0) == 1.0
-        assert rate(3.0) == 2.0
 
 
 class TestSinrs:
@@ -236,31 +229,6 @@ class TestBreakpoints:
     def test_rejects_nonpositive_thresholds(self):
         with pytest.raises(ValueError):
             breakpoints(0.0, 0.1, 0.2)
-
-
-class TestDecodingOrders:
-    def test_count(self):
-        assert len(enumerate_decoding_orders()) == 4
-
-    def test_order_two_columns(self):
-        order = enumerate_decoding_orders()[1]
-        assert order.order_index == 2
-        assert order.column(1) == (2, 1)
-        assert order.column(2) == (1, 2)
-
-    def test_all_matrices(self):
-        mats = [o.matrix for o in enumerate_decoding_orders()]
-        assert mats == [
-            ((2, 2), (1, 1)),
-            ((2, 1), (1, 2)),
-            ((1, 2), (2, 1)),
-            ((1, 1), (2, 2)),
-        ]
-
-    def test_columns_are_permutations(self):
-        for order in enumerate_decoding_orders():
-            for m in (1, 2):
-                assert sorted(order.column(m)) == [1, 2]
 
 
 class TestSystemConfig:

@@ -21,7 +21,8 @@ from noma_pop import (
     reference_config,
     pop_value,
 )
-from noma_pop.analytic import case_intervals
+from noma_pop.analytic import case_intervals, pop_curve
+from noma_pop.optimizer import grid_min_near
 
 from conftest import draw_config
 
@@ -276,3 +277,32 @@ class TestGridOracle:
         _, coarse = grid_oracle(ref_config, step=1e-4)
         _, fine = grid_oracle(ref_config, step=1e-5)
         assert fine <= coarse + 1e-15
+
+    def test_min_near_matches_unique_argmin(self):
+        rng = np.random.default_rng(31)
+        grid = np.arange(1, 100_000) * 1e-5
+        checked = 0
+        for _ in range(10):
+            cfg = draw_config(rng)
+            g_alpha, g_pop = grid_oracle(cfg, step=1e-5)
+            values, _ = pop_curve(grid, DerivedParams.from_config(cfg))
+            if np.count_nonzero(values == g_pop) != 1:
+                continue
+            checked += 1
+            for shift in np.arange(-4, 5) * 0.6e-5:
+                alpha = g_alpha + shift
+                assert grid_min_near(cfg, alpha, g_pop, step=1e-5) \
+                    == (abs(alpha - g_alpha) <= 1e-5)
+        assert checked >= 5
+
+    def test_min_near_on_saturated_pop(self):
+        # POP == 1.0 at every split: the oracle's tie-break takes the first
+        # grid point, far from the closed-form optimum
+        cfg = dataclasses.replace(reference_config(), d2=178.32,
+                                  rho_t_db=38.35, beta=0.453, r1_th=0.127,
+                                  r2_th=0.206, pt_dbm=None, noise_dbm=None)
+        alpha_star, pop_star, _ = optimize(cfg)
+        g_alpha, g_pop = grid_oracle(cfg, step=1e-5)
+        assert pop_star == g_pop == 1.0
+        assert abs(alpha_star - g_alpha) > 0.3
+        assert grid_min_near(cfg, alpha_star, g_pop, step=1e-5)
