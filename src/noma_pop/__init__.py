@@ -27,7 +27,6 @@ from .analytic import (
     PopValue,
     classify_case,
     dpop_dalpha,
-    gain_ccdf,
     pop,
     pop_curve,
     pop_value,
@@ -62,8 +61,7 @@ __all__ = [
     "breakpoints", "db_to_linear", "mean_gain", "reference_config",
     "sinr_threshold", "sinrs", "zetas",
     "Case", "CaseRegion", "NotDifferentiableError", "PopValue",
-    "classify_case", "dpop_dalpha", "gain_ccdf", "pop", "pop_curve",
-    "pop_value",
+    "classify_case", "dpop_dalpha", "pop", "pop_curve", "pop_value",
     "Candidate", "CandidateSet", "NoFeasibleAllocationError",
     "QuadraticCoefficients", "candidate_set", "case2_coefficients",
     "case2_roots", "case3_coefficients", "case3_roots", "corner_candidates",

@@ -1,12 +1,15 @@
 """Closed-form pair outage probability (POP) of the two-user NOMA pair.
 
-The outage event is "any of the four decode conditions fails". With
-independent exponential gains the non-outage probability factors into two
-CCDFs evaluated at the per-user binding thresholds, which yields a five-case
-piecewise expression in the power split alpha: four open intervals where a
-specific (zeta_i, zeta_j) pair is binding, and "everything else" where outage
-is certain. This module classifies the active case, evaluates POP, and
-provides the per-case closed-form derivative dPOP/dalpha.
+Outage is "any of the four decode conditions fails". With independent
+exponential gains each user succeeds when its gain exceeds the larger of
+its two thresholds, so with an infinite zeta meaning certain outage
+
+    POP = 1 - exp(-(max(zeta1, zeta2) / lambda1 + max(zeta3, zeta4) / lambda2)).
+
+It is evaluated once, as -expm1(-exponent), so a tiny POP (high SNR) keeps
+its relative accuracy. The paper's five-case table (four alpha intervals
+and "certain outage") says which pair binds; it labels each split and
+gives the per-case derivative dPOP/dalpha.
 """
 
 from __future__ import annotations
@@ -17,11 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivedParams, zetas
-
-# exponent clamp: zeta/lambda can reach 1e8 near the infeasible edges where
-# the true CCDF is indistinguishable from 0; keep exp() out of subnormals
-MAX_EXPONENT = 700.0
+from .model import DerivedParams, ZetaTuple, zetas
 
 
 class Case(enum.IntEnum):
@@ -57,10 +56,10 @@ class NotDifferentiableError(ValueError):
 def case_intervals(derived: DerivedParams) -> dict[Case, tuple[float, float]]:
     """Active interval of each non-trivial case, as (lower, upper).
 
-    Case 1 pairs the zeta1 branch of the near-user CCDF with the zeta3 branch
-    of the far-user CCDF, so its interval is the intersection of the two
-    branch intervals; likewise for the other three cases. Intervals may be
-    empty (lower >= upper) for a given parameter set.
+    Case 1 is where zeta1 binds the near user and zeta3 the far user, so its
+    interval is the intersection of those two branch intervals; likewise for
+    the other three cases. Intervals may be empty (lower >= upper) for a
+    given parameter set.
     """
     bp = derived.breakpoints
     return {
@@ -71,129 +70,86 @@ def case_intervals(derived: DerivedParams) -> dict[Case, tuple[float, float]]:
     }
 
 
+def _in_case(alpha, interval: tuple[float, float]):
+    """Whether alpha lies in [lower, upper), elementwise on arrays: an empty
+    interval holds nothing, and a breakpoint goes to the right-hand case."""
+    lo, hi = interval
+    return (lo <= alpha) & (alpha < hi)
+
+
 def classify_case(alpha: float, derived: DerivedParams) -> CaseRegion:
     """The unique case active at alpha.
 
-    Interval membership is half-open [lower, upper): at a shared breakpoint
-    the right-hand case applies. POP is continuous across such boundaries
-    (the binding thresholds coincide there), so the tie-break does not change
-    the value. Case 5 is returned wherever no case interval contains alpha.
+    POP is continuous across case boundaries (the binding thresholds
+    coincide there), so the tie-break of ``_in_case`` does not change the
+    value. Case 5 is returned wherever no case interval contains alpha.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    intervals = case_intervals(derived)
-    for case, (lo, hi) in intervals.items():
-        if lo < hi and lo <= alpha < hi:
-            return CaseRegion(label=case, active_interval=(lo, hi))
+    for case, interval in case_intervals(derived).items():
+        if _in_case(alpha, interval):
+            return CaseRegion(label=case, active_interval=interval)
     return CaseRegion(label=Case.CASE5, active_interval=(0.0, 1.0))
-
-
-def gain_ccdf(zeta: float, lam: float) -> float:
-    """P(gain > zeta) for an exponential gain with mean lam.
-
-    An infinite threshold (infeasible decode condition) gives 0; a
-    nonpositive threshold gives 1.
-    """
-    if lam <= 0:
-        raise ValueError("mean gain must be positive")
-    if math.isinf(zeta):
-        return 0.0
-    if zeta <= 0.0:
-        return 1.0
-    return float(np.exp(-min(zeta / lam, MAX_EXPONENT)))
 
 
 @dataclass(frozen=True)
 class PopValue:
-    """POP at one split: the value, the active case, and the two CCDF factors."""
+    """POP at one split: the value and the active case."""
 
     value: float
     case: Case
-    ccdf1: float
-    ccdf2: float
 
 
 # per-case binding thresholds, as indices into (zeta1, zeta2, zeta3, zeta4)
-_CASE_ZETAS = {
-    Case.CASE1: (0, 2),
-    Case.CASE2: (0, 3),
-    Case.CASE3: (1, 2),
-    Case.CASE4: (1, 3),
-}
+_CASE_ZETAS = {Case.CASE1: (0, 2), Case.CASE2: (0, 3),
+               Case.CASE3: (1, 2), Case.CASE4: (1, 3)}
+
+
+def _pop(z: ZetaTuple, derived: DerivedParams):
+    """The max-zeta POP, elementwise on float or array thresholds."""
+    # dividing before the max (the same value, as division is monotone)
+    # lets a huge float zeta overflow to inf in Python, without a warning
+    lam1, lam2 = derived.lambda1, derived.lambda2
+    exponent = (np.maximum(z.zeta1 / lam1, z.zeta2 / lam1)
+                + np.maximum(z.zeta3 / lam2, z.zeta4 / lam2))
+    return -np.expm1(-exponent)
 
 
 def pop(alpha: float, derived: DerivedParams) -> PopValue:
-    """Pair outage probability at power split alpha.
-
-    Returns 1 - ccdf1 * ccdf2 where the CCDF factor pair is dictated by the
-    active case; Case 5 is certain outage.
-    """
-    region = classify_case(alpha, derived)
-    if region.label is Case.CASE5:
-        return PopValue(value=1.0, case=Case.CASE5, ccdf1=0.0, ccdf2=0.0)
-    z = zetas(alpha, derived)
-    i, j = _CASE_ZETAS[region.label]
-    ccdf1 = gain_ccdf(z[i], derived.lambda1)
-    ccdf2 = gain_ccdf(z[j], derived.lambda2)
-    return PopValue(value=1.0 - ccdf1 * ccdf2, case=region.label,
-                    ccdf1=ccdf1, ccdf2=ccdf2)
+    """Pair outage probability at power split alpha, with its case label."""
+    return PopValue(value=pop_value(alpha, derived),
+                    case=classify_case(alpha, derived).label)
 
 
 def pop_value(alpha: float, derived: DerivedParams) -> float:
-    """Shorthand for pop(alpha, derived).value."""
-    return pop(alpha, derived).value
+    """Pair outage probability at power split alpha."""
+    return float(_pop(zetas(alpha, derived), derived))
 
 
 def pop_curve(alphas,
               derived: DerivedParams) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized POP over an array of splits in (0, 1).
 
-    Returns (values, case_indices). Same case logic and formulas as pop();
-    used by the grid oracle and the sweep runners where per-point calls would
-    be wasteful.
+    Returns (values, case_indices), equal element for element to
+    ``pop_value`` and ``classify_case``; used by the grid oracle and the
+    sweep runners where per-point calls would be wasteful.
     """
     a = np.atleast_1d(np.asarray(alphas, dtype=float))
-    if a.size and (a.min() <= 0.0 or a.max() >= 1.0):
-        raise ValueError("all alphas must lie in (0, 1)")
-    pi1, pi2, beta, rho = derived.pi1, derived.pi2, derived.beta, derived.rho_t
-    lam1, lam2 = derived.lambda1, derived.lambda2
-
-    def over_mean(pi: float, denom: np.ndarray, lam: float) -> np.ndarray:
-        # zeta / lambda with the infeasible (denom <= 0) branch sent to +inf,
-        # mirroring the scalar zetas()/gain_ccdf() pair
-        with np.errstate(divide="ignore", invalid="ignore"):
-            zeta = np.where(denom > 0.0, pi / (denom * rho), np.inf)
-        return zeta / lam
-
-    exponents = {
-        0: over_mean(pi1, a - beta * (1.0 - a) * pi1, lam1),
-        1: over_mean(pi2, 1.0 - a - a * pi2, lam1),
-        2: over_mean(pi1, a - (1.0 - a) * pi1, lam2),
-        3: over_mean(pi2, 1.0 - a - beta * a * pi2, lam2),
-    }
-
-    values = np.ones(a.shape)
+    values = _pop(zetas(a, derived), derived)
     cases = np.full(a.shape, int(Case.CASE5))
-    for case, (lo, hi) in case_intervals(derived).items():
-        if not lo < hi:
-            continue
-        mask = (a >= lo) & (a < hi)
-        if not mask.any():
-            continue
-        i, j = _CASE_ZETAS[case]
-        e1 = np.minimum(exponents[i][mask], MAX_EXPONENT)
-        e2 = np.minimum(exponents[j][mask], MAX_EXPONENT)
-        values[mask] = 1.0 - np.exp(-e1) * np.exp(-e2)
-        cases[mask] = int(case)
+    for case, interval in case_intervals(derived).items():
+        cases[_in_case(a, interval)] = int(case)
     return values, cases
 
 
 def dpop_dalpha(alpha: float, derived: DerivedParams) -> float:
     """Closed-form derivative of POP with respect to alpha.
 
-    Only defined strictly inside a case-1..4 interval. The case-1 derivative
-    is always negative and the case-4 derivative always positive; cases 2 and
-    3 change sign at the stationary points the optimizer solves for.
+    Only defined strictly inside a case-1..4 interval, where POP is
+    1 - exp(-(zeta_i / lambda1 + zeta_j / lambda2)) for the case's binding
+    pair. The case-1 derivative is always negative and the case-4 derivative
+    always positive; cases 2 and 3 change sign at the stationary points the
+    optimizer solves for.
     """
     region = classify_case(alpha, derived)
     lo, hi = region.active_interval
@@ -203,40 +159,19 @@ def dpop_dalpha(alpha: float, derived: DerivedParams) -> float:
     if not lo < alpha < hi:
         raise NotDifferentiableError(
             f"alpha={alpha} sits on a case boundary; one-sided slopes differ")
-
-    pi1, pi2, beta, rho = derived.pi1, derived.pi2, derived.beta, derived.rho_t
+    z = zetas(alpha, derived)
+    pi1, pi2, beta = derived.pi1, derived.pi2, derived.beta
     lam1, lam2 = derived.lambda1, derived.lambda2
-    s1 = beta * pi1 + 1.0
-    s2 = beta * pi2 + 1.0
-    t1 = pi1 + 1.0
-    t2 = pi2 + 1.0
-
-    # reciprocal-denominator building blocks; all are positive inside the
-    # producing case's interval
-    d_z1 = alpha * s1 - beta * pi1      # zeta1 = pi1 / (d_z1 * rho)
-    d_z2 = 1.0 - alpha * t2             # zeta2 = pi2 / (d_z2 * rho)
-    d_z3 = alpha * t1 - pi1             # zeta3 = pi1 / (d_z3 * rho)
-    d_z4 = 1.0 - alpha * s2             # zeta4 = pi2 / (d_z4 * rho)
-
-    if region.label is Case.CASE1:
-        bracket = -(pi1 * s1 / (lam1 * rho * d_z1 ** 2)
-                    + pi1 * t1 / (lam2 * rho * d_z3 ** 2))
-        exponent = (-pi1 / (lam1 * rho * d_z1)
-                    - pi1 / (lam2 * rho * d_z3))
-    elif region.label is Case.CASE2:
-        bracket = (pi2 * s2 / (lam2 * rho * d_z4 ** 2)
-                   - pi1 * s1 / (lam1 * rho * d_z1 ** 2))
-        exponent = (-pi2 / (lam2 * rho * d_z4)
-                    - pi1 / (lam1 * rho * d_z1))
-    elif region.label is Case.CASE3:
-        bracket = (pi2 * t2 / (lam1 * rho * d_z2 ** 2)
-                   - pi1 * t1 / (lam2 * rho * d_z3 ** 2))
-        exponent = (-pi2 / (lam1 * rho * d_z2)
-                    - pi1 / (lam2 * rho * d_z3))
-    else:  # CASE4
-        bracket = (pi2 * s2 / (lam2 * rho * d_z4 ** 2)
-                   + pi2 * t2 / (lam1 * rho * d_z2 ** 2))
-        exponent = (-pi2 / (lam2 * rho * d_z4)
-                    - pi2 / (lam1 * rho * d_z2))
-
-    return float(bracket * np.exp(max(exponent, -MAX_EXPONENT)))
+    # per zeta: (pi, mean of the gain it bounds, D'), where
+    # zeta = pi / (D(alpha) * rho) and D is linear in alpha
+    terms = ((pi1, lam1, 1.0 + beta * pi1),
+             (pi2, lam1, -1.0 - pi2),
+             (pi1, lam2, 1.0 + pi1),
+             (pi2, lam2, -1.0 - beta * pi2))
+    exponent = slope = 0.0
+    for k in _CASE_ZETAS[region.label]:
+        pi, lam, d_prime = terms[k]
+        exponent += z[k] / lam
+        # dzeta/dalpha = -pi * D' / (D^2 * rho) = -rho * zeta^2 * D' / pi
+        slope -= derived.rho_t * z[k] ** 2 * d_prime / (pi * lam)
+    return slope * math.exp(-exponent)

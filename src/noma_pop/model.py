@@ -18,8 +18,13 @@ import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
+import numpy as np
+
 # rho_t consistency check between rho_t_db and pt_dbm - noise_dbm, in dB
 RHO_CONSISTENCY_TOL_DB = 1e-9
+# mean gains, SNR and SINR thresholds lie in [1/SCALE_LIMIT, SCALE_LIMIT], so
+# the zetas, POP exponents and optimizer coefficients stay finite
+SCALE_LIMIT = 1e50
 
 
 def db_to_linear(x_db: float) -> float:
@@ -178,23 +183,30 @@ class DerivedParams:
 
     @classmethod
     def from_config(cls, config: SystemConfig) -> "DerivedParams":
-        pi1 = sinr_threshold(config.r1_th)
-        pi2 = sinr_threshold(config.r2_th)
-        return cls(
-            lambda1=config.lambda1,
-            lambda2=config.lambda2,
-            rho_t=config.rho_t,
-            pi1=pi1,
-            pi2=pi2,
-            beta=config.beta,
-            breakpoints=breakpoints(pi1, pi2, config.beta),
-        )
+        try:  # a huge power in the conversions raises OverflowError
+            pi1 = sinr_threshold(config.r1_th)
+            pi2 = sinr_threshold(config.r2_th)
+            return cls(
+                lambda1=config.lambda1,
+                lambda2=config.lambda2,
+                rho_t=config.rho_t,
+                pi1=pi1,
+                pi2=pi2,
+                beta=config.beta,
+                breakpoints=breakpoints(pi1, pi2, config.beta),
+            )
+        except OverflowError:
+            raise ValueError("a mean gain, the SNR or an SINR threshold "
+                             "overflows a float") from None
 
     def __post_init__(self):
+        for name in ("lambda1", "lambda2", "rho_t", "pi1", "pi2"):
+            value = getattr(self, name)
+            if not 1.0 / SCALE_LIMIT <= value <= SCALE_LIMIT:
+                raise ValueError(f"{name}={value:g} must lie in "
+                                 f"[{1 / SCALE_LIMIT:g}, {SCALE_LIMIT:g}]")
         if self.lambda1 < self.lambda2:
             raise ValueError("near user must have the larger mean gain")
-        if self.rho_t <= 0:
-            raise ValueError("rho_t must be positive")
         bp = self.breakpoints
         # guaranteed by the algebra for beta <= 1; cheap sanity net
         if self.beta < 1.0 and not (bp.alpha4 > bp.alpha1
@@ -208,7 +220,7 @@ class ZetaTuple(NamedTuple):
 
     A threshold is +inf when its denominator is nonpositive, meaning the
     corresponding SINR condition cannot be met at this split regardless of
-    the channel draw. ``feasible`` flags which thresholds are finite.
+    the channel draw.
     """
 
     zeta1: float
@@ -216,23 +228,26 @@ class ZetaTuple(NamedTuple):
     zeta3: float
     zeta4: float
 
-    @property
-    def feasible(self) -> tuple[bool, bool, bool, bool]:
-        return tuple(math.isfinite(z) for z in self)
 
-
-def _threshold(num: float, denom: float) -> float:
+def _threshold(num: float, denom):
+    if isinstance(denom, np.ndarray):
+        return np.divide(num, denom, out=np.full(denom.shape, math.inf),
+                         where=denom > 0.0)
     return num / denom if denom > 0.0 else math.inf
 
 
-def zetas(alpha: float, derived: DerivedParams) -> ZetaTuple:
+def zetas(alpha, derived: DerivedParams) -> ZetaTuple:
     """Gain thresholds zeta1..zeta4 at power split alpha.
 
     zeta1/zeta2 apply to the near user's gain (own data after SIC, far data
     before SIC); zeta3/zeta4 apply to the far user's gain (near data before
-    SIC, own data after SIC). Infeasibility is data, not an error.
+    SIC, own data after SIC). Infeasibility is data, not an error. Given an
+    array of splits, each field is an array equal elementwise to the floats.
     """
-    if not 0.0 < alpha < 1.0:
+    if isinstance(alpha, np.ndarray):
+        if alpha.size and not (alpha.min() > 0.0 and alpha.max() < 1.0):
+            raise ValueError("all alphas must lie in (0, 1)")
+    elif not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     pi1, pi2, beta, rho = derived.pi1, derived.pi2, derived.beta, derived.rho_t
     return ZetaTuple(

@@ -176,9 +176,9 @@ def _root(name: str, case: Case, roots: tuple[float, ...], index: int,
 def candidate_set(derived: DerivedParams) -> CandidateSet:
     """Build all six candidates, with POP evaluated at the feasible ones.
 
-    POP at a candidate is always evaluated through the full piecewise
-    function (classify first), never a fixed-case formula, so corner points
-    sitting exactly on a boundary are valued consistently.
+    POP at a candidate is always evaluated through the full max-zeta form,
+    never a fixed-case formula, so corner points sitting exactly on a
+    boundary are valued consistently.
     """
     intervals = case_intervals(derived)
     c1, c2 = corner_candidates(derived)

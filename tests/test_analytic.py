@@ -13,13 +13,12 @@ from noma_pop import (
     NotDifferentiableError,
     classify_case,
     dpop_dalpha,
-    gain_ccdf,
     reference_config,
     pop,
     pop_curve,
     pop_value,
 )
-from noma_pop.analytic import MAX_EXPONENT, case_intervals
+from noma_pop.analytic import case_intervals
 
 from conftest import draw_config, fd_reference, pop_reference
 
@@ -48,30 +47,6 @@ def literal_case(alpha: float, d: DerivedParams) -> Case:
     if (a2 < a < a3 and a5 < a2) or (a5 < a < a3 and a5 > a2):
         return Case.CASE4
     return Case.CASE5
-
-
-class TestGainCcdf:
-    def test_at_zero(self):
-        assert gain_ccdf(0.0, 8e-6) == 1.0
-
-    def test_exponential_identity(self):
-        assert gain_ccdf(8e-6, 8e-6) == pytest.approx(math.exp(-1),
-                                                      rel=1e-12)
-
-    def test_infeasible_threshold(self):
-        assert gain_ccdf(math.inf, 8e-6) == 0.0
-
-    def test_negative_threshold(self):
-        assert gain_ccdf(-1.0, 8e-6) == 1.0
-
-    def test_exponent_clamp_keeps_positive(self):
-        v = gain_ccdf(1e8, 1.0)
-        assert v == math.exp(-MAX_EXPONENT)
-        assert v > 0.0
-
-    def test_rejects_nonpositive_mean(self):
-        with pytest.raises(ValueError):
-            gain_ccdf(1.0, 0.0)
 
 
 class TestClassify:
@@ -131,11 +106,6 @@ class TestPop:
                         * math.exp(-z.zeta3 / ref_derived.lambda2))
         assert got.value == pytest.approx(expect, rel=1e-13)
 
-    def test_value_identity(self, ref_derived):
-        for alpha in (0.1, 0.3, 0.5, 0.7, 0.9):
-            p = pop(alpha, ref_derived)
-            assert p.value == 1.0 - p.ccdf1 * p.ccdf2
-
     def test_high_snr_limit(self):
         cfg = dataclasses.replace(reference_config(), rho_t_db=150.0,
                                   pt_dbm=None, noise_dbm=None)
@@ -157,6 +127,18 @@ class TestPop:
                 want = float(pop_reference(float(alpha), d))
                 assert pop_value(float(alpha), d) == pytest.approx(
                     want, rel=1e-12, abs=1e-13)
+
+    @pytest.mark.parametrize("rho_t_db", [80.0, 100.0, 120.0])
+    def test_relative_accuracy_at_high_snr(self, rho_t_db):
+        # POP is tiny here; 1 - exp(-x) would lose digits to cancellation
+        rng = np.random.default_rng(30)
+        for _ in range(20):
+            d = DerivedParams.from_config(draw_config(rng, rho_t_db=rho_t_db))
+            bp = d.breakpoints
+            for alpha in rng.uniform(bp.alpha4, bp.alpha3, size=10):
+                want = pop_reference(float(alpha), d)
+                got = pop_value(float(alpha), d)
+                assert abs(got - want) <= 1e-13 * want, (d, alpha)
 
     def test_rejects_invalid_alpha(self, ref_derived):
         with pytest.raises(ValueError):
@@ -236,6 +218,12 @@ class TestContinuityAndEdges:
                 assert jump <= 1e-6
                 checked += 1
         assert checked >= 10
+
+    def test_tiny_split_overflows_quietly(self):
+        # zeta1 = pi1 / (alpha * rho) is finite, but zeta1 / lambda1 is not
+        cfg = dataclasses.replace(reference_config(), beta=0.0,
+                                  rho_t_db=-60.0, pt_dbm=None, noise_dbm=None)
+        assert pop_value(1e-300, DerivedParams.from_config(cfg)) == 1.0
 
     def test_blows_up_at_feasible_edges(self, ref_derived):
         bp = ref_derived.breakpoints

@@ -1,5 +1,6 @@
 """Unit tests for the physical-layer model primitives."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -129,11 +130,11 @@ class TestZetas:
         assert d.breakpoints.alpha3 == 0.5
         z = zetas(0.5, d)
         assert math.isinf(z.zeta2)
-        assert z.feasible == (True, False, True, True)
+        assert tuple(map(math.isfinite, z)) == (True, False, True, True)
 
     def test_reference_point_finite_positive(self, ref_derived):
         z = zetas(0.5, ref_derived)
-        assert z.feasible == (True, True, True, True)
+        assert tuple(map(math.isfinite, z)) == (True, True, True, True)
         # direct evaluation of the four definitions
         pi, rho = ref_derived.pi1, ref_derived.rho_t
         assert z.zeta1 == pytest.approx(pi / ((0.5 - 0.2 * 0.5 * pi) * rho),
@@ -173,6 +174,18 @@ class TestZetas:
             zetas(0.0, ref_derived)
         with pytest.raises(ValueError):
             zetas(1.0, ref_derived)
+        with pytest.raises(ValueError):
+            zetas(np.array([0.5, 1.0]), ref_derived)
+        with pytest.raises(ValueError):
+            zetas(np.array([0.5, np.nan]), ref_derived)
+
+    def test_array_matches_floats(self, ref_derived):
+        # includes splits where a threshold is infeasible (+inf)
+        grid = np.linspace(0.01, 0.99, 99)
+        z = zetas(grid, ref_derived)
+        for i, alpha in enumerate(grid):
+            assert tuple(f[i] for f in z) == zetas(float(alpha), ref_derived)
+        assert np.isinf(z.zeta3[0]) and np.isinf(z.zeta2[-1])
 
 
 class TestBreakpoints:
@@ -282,6 +295,19 @@ class TestSystemConfig:
         values[field] = bad
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             SystemConfig(**values)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("rho_t_db", 3083.0, "overflows a float"),
+        ("r1_th", 2000.0, "overflows a float"),
+        ("rho_t_db", 600.0, "rho_t=1e\\+60 must lie in"),
+        ("path_loss_constant", 1e-320, "lambda1=.* must lie in"),
+        ("r2_th", 200.0, "pi2=.* must lie in"),
+    ])
+    def test_derived_scale_out_of_range(self, field, value, message):
+        config = dataclasses.replace(reference_config(), pt_dbm=None,
+                                     noise_dbm=None, **{field: value})
+        with pytest.raises(ValueError, match=message):
+            DerivedParams.from_config(config)
 
     def test_derived_params(self, ref_config, ref_derived):
         assert ref_derived.pi1 == sinr_threshold(ref_config.r1_th)

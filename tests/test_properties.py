@@ -4,8 +4,13 @@ Examples are derandomized and counted, so the run is the same every time
 and stays short.
 """
 
+import contextlib
 import dataclasses
+import io
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +26,9 @@ from noma_pop import (
     pop_curve,
     pop_value,
 )
-from noma_pop.harness import SweepAxis
+from noma_pop.harness import (
+    EXIT_INVALID_INPUT, EXIT_NO_FEASIBLE_ALLOCATION, EXIT_OK,
+    EXIT_VALIDATION_FAILURE, SweepAxis, main)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
                     database=None)
@@ -64,7 +71,8 @@ def test_scalar_and_vector_paths_agree_bitwise(config, split_list):
 
 
 @PROPERTY
-@given(configs(), alphas, rates, rates, st.sampled_from(["r1_th", "r2_th"]))
+@given(configs(), alphas, rates, rates,
+       st.sampled_from(["r1_th", "r2_th", "beta"]))
 def test_pop_nondecreasing_in_thresholds(config, alpha, r_a, r_b, name):
     lo, hi = sorted((r_a, r_b))
     pop_lo = pop_value(alpha, DerivedParams.from_config(
@@ -117,3 +125,42 @@ def test_sweep_axis_rejects_non_finite(bound, bad, other, count):
     axis = SweepAxis("d2", start=other, stop=other, count=count)
     with pytest.raises(ValueError, match=f"sweep {bound} must be finite"):
         dataclasses.replace(axis, **{bound: bad}).values()
+
+
+field_values = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=1.0, max_value=300.0),
+    st.floats(max_value=0.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+    non_finite,
+)
+COMMANDS = (["pop"], ["optimize", "--check"], ["sweep-alpha", "--count", "3"])
+
+
+@PROPERTY
+@given(st.dictionaries(st.sampled_from(FIELDS), field_values, max_size=4))
+def test_fuzzed_config_fails_cleanly_or_prints_finite_numbers(values):
+    """A config file with up to four fuzzed fields either fails with one
+    ``error:`` line (invalid input, or no feasible split for ``optimize``)
+    or prints only finite numbers."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.cfg"
+        path.write_text("".join(f"{k} = {v!r}\n" for k, v in values.items()))
+        for command in COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(command + ["--config", str(path)])
+            lines = err.getvalue().splitlines()
+            if code in (EXIT_INVALID_INPUT, EXIT_NO_FEASIBLE_ALLOCATION):
+                assert out.getvalue() == ""
+                assert len(lines) == 1 and lines[0].startswith("error: ")
+                continue
+            assert code in (EXIT_OK, EXIT_VALIDATION_FAILURE), (command, code)
+            assert not any(line.startswith("error:") for line in lines)
+            for token in re.split(r"[\s,=|]+", out.getvalue()):
+                try:
+                    number = float(token)
+                except ValueError:
+                    continue
+                assert math.isfinite(number), (command, token)
