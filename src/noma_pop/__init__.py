@@ -22,7 +22,6 @@ from .model import (
 )
 from .analytic import (
     Case,
-    CaseRegion,
     NotDifferentiableError,
     PopValue,
     classify_case,
@@ -33,17 +32,11 @@ from .analytic import (
 )
 from .optimizer import (
     Candidate,
-    CandidateSet,
     NoFeasibleAllocationError,
-    QuadraticCoefficients,
     candidate_set,
-    case2_coefficients,
-    case2_roots,
-    case3_coefficients,
-    case3_roots,
-    corner_candidates,
     grid_oracle,
     optimize,
+    stationary_roots,
 )
 from .montecarlo import (
     McConfig,
@@ -60,12 +53,10 @@ __all__ = [
     "Breakpoints", "DerivedParams", "SinrTuple", "SystemConfig", "ZetaTuple",
     "breakpoints", "db_to_linear", "mean_gain", "reference_config",
     "sinr_threshold", "sinrs", "zetas",
-    "Case", "CaseRegion", "NotDifferentiableError", "PopValue",
+    "Case", "NotDifferentiableError", "PopValue",
     "classify_case", "dpop_dalpha", "pop", "pop_curve", "pop_value",
-    "Candidate", "CandidateSet", "NoFeasibleAllocationError",
-    "QuadraticCoefficients", "candidate_set", "case2_coefficients",
-    "case2_roots", "case3_coefficients", "case3_roots", "corner_candidates",
-    "grid_oracle", "optimize",
+    "Candidate", "NoFeasibleAllocationError", "candidate_set", "grid_oracle",
+    "optimize", "stationary_roots",
     "McConfig", "McEstimate", "ValidationRow", "binomial_z", "pop_estimate",
     "sample_gains", "validate",
 ]

@@ -37,18 +37,6 @@ class Case(enum.IntEnum):
         return f"Case{int(self)}"
 
 
-@dataclass(frozen=True)
-class CaseRegion:
-    """A case label together with its active alpha interval (possibly empty).
-
-    For the certain-outage case the complement of the other intervals is not
-    a single interval, so active_interval spans the whole (0, 1) domain.
-    """
-
-    label: Case
-    active_interval: tuple[float, float]
-
-
 class NotDifferentiableError(ValueError):
     """POP has no classical derivative at this split (Case 5 or a breakpoint)."""
 
@@ -77,7 +65,7 @@ def _in_case(alpha, interval: tuple[float, float]):
     return (lo <= alpha) & (alpha < hi)
 
 
-def classify_case(alpha: float, derived: DerivedParams) -> CaseRegion:
+def classify_case(alpha: float, derived: DerivedParams) -> Case:
     """The unique case active at alpha.
 
     POP is continuous across case boundaries (the binding thresholds
@@ -88,8 +76,8 @@ def classify_case(alpha: float, derived: DerivedParams) -> CaseRegion:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     for case, interval in case_intervals(derived).items():
         if _in_case(alpha, interval):
-            return CaseRegion(label=case, active_interval=interval)
-    return CaseRegion(label=Case.CASE5, active_interval=(0.0, 1.0))
+            return case
+    return Case.CASE5
 
 
 @dataclass(frozen=True)
@@ -118,7 +106,7 @@ def _pop(z: ZetaTuple, derived: DerivedParams):
 def pop(alpha: float, derived: DerivedParams) -> PopValue:
     """Pair outage probability at power split alpha, with its case label."""
     return PopValue(value=pop_value(alpha, derived),
-                    case=classify_case(alpha, derived).label)
+                    case=classify_case(alpha, derived))
 
 
 def pop_value(alpha: float, derived: DerivedParams) -> float:
@@ -135,7 +123,8 @@ def pop_curve(alphas,
     sweep runners where per-point calls would be wasteful.
     """
     a = np.atleast_1d(np.asarray(alphas, dtype=float))
-    values = _pop(zetas(a, derived), derived)
+    with np.errstate(over="ignore"):  # overflow to inf, quietly as on floats
+        values = _pop(zetas(a, derived), derived)
     cases = np.full(a.shape, int(Case.CASE5))
     for case, interval in case_intervals(derived).items():
         cases[_in_case(a, interval)] = int(case)
@@ -151,11 +140,11 @@ def dpop_dalpha(alpha: float, derived: DerivedParams) -> float:
     always positive; cases 2 and 3 change sign at the stationary points the
     optimizer solves for.
     """
-    region = classify_case(alpha, derived)
-    lo, hi = region.active_interval
-    if region.label is Case.CASE5:
+    case = classify_case(alpha, derived)
+    if case is Case.CASE5:
         raise NotDifferentiableError(
             f"POP is constant 1 around alpha={alpha} (Case5)")
+    lo, hi = case_intervals(derived)[case]
     if not lo < alpha < hi:
         raise NotDifferentiableError(
             f"alpha={alpha} sits on a case boundary; one-sided slopes differ")
@@ -169,7 +158,7 @@ def dpop_dalpha(alpha: float, derived: DerivedParams) -> float:
              (pi1, lam2, 1.0 + pi1),
              (pi2, lam2, -1.0 - beta * pi2))
     exponent = slope = 0.0
-    for k in _CASE_ZETAS[region.label]:
+    for k in _CASE_ZETAS[case]:
         pi, lam, d_prime = terms[k]
         exponent += z[k] / lam
         # dzeta/dalpha = -pi * D' / (D^2 * rho) = -rho * zeta^2 * D' / pi

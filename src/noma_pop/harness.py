@@ -90,7 +90,7 @@ class ResultTable:
 
 def _pop_case(alpha: float, derived: DerivedParams) -> dict:
     return {"pop": pop_value(alpha, derived),
-            "case": classify_case(alpha, derived).label.label}
+            "case": classify_case(alpha, derived).label}
 
 
 def _mc_columns(config: SystemConfig, alpha: float, pop: float,
@@ -418,10 +418,10 @@ def _dispatch(args: argparse.Namespace) -> int:
             "candidate": c.name,
             "case": c.case.label,
             "alpha": c.alpha if c.alpha is not None else "",
-            "exists": int(c.exists),
+            "exists": int(c.alpha is not None),
             "feasible": int(c.feasible),
             "pop": c.pop if c.pop is not None else "",
-        } for c in candidates.all()]
+        } for c in candidates]
         summary = {"alpha_star": alpha_star, "pop_star": pop_star}
         if args.check:
             grid_alpha, grid_pop = grid_oracle(config, step=GRID_STEP)

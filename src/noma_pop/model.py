@@ -231,8 +231,10 @@ class ZetaTuple(NamedTuple):
 
 def _threshold(num: float, denom):
     if isinstance(denom, np.ndarray):
-        return np.divide(num, denom, out=np.full(denom.shape, math.inf),
-                         where=denom > 0.0)
+        # a tiny positive denominator overflows to inf, quietly as in Python
+        with np.errstate(over="ignore"):
+            return np.divide(num, denom, out=np.full(denom.shape, math.inf),
+                             where=denom > 0.0)
     return num / denom if denom > 0.0 else math.inf
 
 

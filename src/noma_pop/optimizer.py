@@ -4,16 +4,17 @@ POP is piecewise in alpha: strictly decreasing on the case-1 interval,
 strictly increasing on case 4, and possibly non-monotone on cases 2 and 3.
 The global minimizer therefore lives in a six-point candidate set: the two
 corner points where the monotone pieces end, plus the stationary points of
-the case-2 and case-3 pieces, which are roots of two quadratics. This module
-builds that candidate set, filters it for feasibility, and returns the
-argmin, with an exhaustive grid search kept alongside as an independent
-oracle for tests and validation runs.
+the case-2 and case-3 pieces. Both pieces share one stationarity quadratic,
+with the case's residual factor and mean gains plugged in. ``candidate_set``
+builds the six candidates from one table and marks the feasible ones;
+``optimize`` returns their argmin. An exhaustive grid search is kept
+alongside as an independent oracle for tests and validation runs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,59 +30,14 @@ class NoFeasibleAllocationError(RuntimeError):
     """No split in (0, 1) escapes certain outage for these parameters."""
 
 
-@dataclass(frozen=True)
-class QuadraticCoefficients:
-    """Coefficients of a stationary-point quadratic a*x^2 + b*x + c = 0."""
-
-    a: float
-    b: float
-    c: float
-    provenance: Case  # which case's stationarity condition produced them
-
-
-def case2_coefficients(derived: DerivedParams) -> QuadraticCoefficients:
-    """Quadratic whose roots balance the two case-2 exponent slopes."""
-    pi1, pi2, beta = derived.pi1, derived.pi2, derived.beta
-    lam1, lam2 = derived.lambda1, derived.lambda2
-    s1 = beta * pi1 + 1.0
-    s2 = beta * pi2 + 1.0
-    r1 = pi2 * lam1 * s1 * s2
-    r2 = pi1 * lam2 * s1 * s2
-    return QuadraticCoefficients(
-        a=r1 * s1 - r2 * s2,
-        b=2.0 * (r2 - r1 * beta * pi1),
-        c=pi1 ** 2 * pi2 * s2 * beta ** 2 * lam1 - pi1 * s1 * lam2,
-        provenance=Case.CASE2,
-    )
-
-
-def case3_coefficients(derived: DerivedParams) -> QuadraticCoefficients:
-    """Quadratic whose roots balance the two case-3 exponent slopes."""
-    pi1, pi2 = derived.pi1, derived.pi2
-    lam1, lam2 = derived.lambda1, derived.lambda2
-    t1 = pi1 + 1.0
-    t2 = pi2 + 1.0
-    q1 = pi1 * lam1 * t1 * t2
-    q2 = pi2 * lam2 * t1 * t2
-    return QuadraticCoefficients(
-        a=q2 * t1 - q1 * t2,
-        b=2.0 * (q1 - q2 * pi1),
-        c=pi1 ** 2 * pi2 * t2 * lam2 - pi1 * t1 * lam1,
-        provenance=Case.CASE3,
-    )
-
-
-def _solve_quadratic(coeffs: QuadraticCoefficients) -> tuple[float, ...]:
-    """Real roots of the quadratic, in (+discriminant, -discriminant) order.
+def _solve_quadratic(a: float, b: float, c: float) -> tuple[float, ...]:
+    """Real roots of a*x^2 + b*x + c, in (+discriminant, -discriminant) order.
 
     Falls back to the linear root -c/b when the leading coefficient is
     negligible next to the others; returns () when no real root exists.
     """
-    a, b, c = coeffs.a, coeffs.b, coeffs.c
     if abs(a) <= DEGENERATE_QUADRATIC_RTOL * max(abs(b), abs(c)):
-        if b == 0.0:
-            return ()
-        return (-c / b,)
+        return () if b == 0.0 else (-c / b,)
     disc = b * b - 4.0 * a * c
     if disc < 0.0:
         return ()
@@ -96,111 +52,72 @@ def _solve_quadratic(coeffs: QuadraticCoefficients) -> tuple[float, ...]:
     return (plus, minus)
 
 
-def case2_roots(derived: DerivedParams) -> tuple[float, ...]:
-    """Stationary-point candidates of the case-2 piece (0, 1, or 2 roots)."""
-    return _solve_quadratic(case2_coefficients(derived))
+def stationary_roots(derived: DerivedParams, case: Case) -> tuple[float, ...]:
+    """Stationary-point candidates of the case-2 or case-3 piece (0-2 roots).
 
-
-def case3_roots(derived: DerivedParams) -> tuple[float, ...]:
-    """Stationary-point candidates of the case-3 piece (0, 1, or 2 roots)."""
-    return _solve_quadratic(case3_coefficients(derived))
-
-
-def corner_candidates(derived: DerivedParams) -> tuple[float, float]:
-    """The corner candidates: end of the decreasing case-1 piece and start of
-    the increasing case-4 piece.
-
-    Both corners collapse onto the shared point when alpha5 equals alpha2.
+    The roots balance the slopes of the piece's two exponent terms: the pi1
+    term (zeta1 in case 2, zeta3 in case 3) on a gain of mean lam_a, and the
+    pi2 term (zeta4, zeta2) on a gain of mean lam_b. Both threshold
+    denominators carry the factor k: beta in case 2, 1 in case 3.
     """
-    bp = derived.breakpoints
-    if bp.alpha5 < bp.alpha2:
-        return bp.alpha5, bp.alpha2
-    return bp.alpha2, bp.alpha5
+    k, lam_a, lam_b = {
+        Case.CASE2: (derived.beta, derived.lambda1, derived.lambda2),
+        Case.CASE3: (1.0, derived.lambda2, derived.lambda1),
+    }[case]
+    pi1, pi2 = derived.pi1, derived.pi2
+    s_a = k * pi1 + 1.0
+    s_b = k * pi2 + 1.0
+    p = pi2 * lam_a * s_a * s_b
+    q = pi1 * lam_b * s_a * s_b
+    return _solve_quadratic(
+        p * s_a - q * s_b,
+        2.0 * (q - p * k * pi1),
+        pi1 ** 2 * pi2 * s_b * k ** 2 * lam_a - pi1 * s_a * lam_b)
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """One candidate split with its provenance and feasibility verdict."""
 
     name: str
     case: Case
     alpha: float | None  # None when the producing root does not exist
-    exists: bool
     feasible: bool
     pop: float | None  # evaluated only for feasible candidates
 
 
-@dataclass(frozen=True)
-class CandidateSet:
-    """The six-point candidate set of the closed-form search."""
+def candidate_set(derived: DerivedParams) -> tuple[Candidate, ...]:
+    """All six candidates, in the order alpha_c1, alpha_r1..alpha_r4,
+    alpha_c2, with POP evaluated at the feasible ones.
 
-    alpha_c1: Candidate
-    alpha_r1: Candidate
-    alpha_r2: Candidate
-    alpha_r3: Candidate
-    alpha_r4: Candidate
-    alpha_c2: Candidate
-
-    def all(self) -> tuple[Candidate, ...]:
-        return (self.alpha_c1, self.alpha_r1, self.alpha_r2,
-                self.alpha_r3, self.alpha_r4, self.alpha_c2)
-
-    def feasible(self) -> tuple[Candidate, ...]:
-        return tuple(c for c in self.all() if c.feasible)
-
-
-def _corner(name: str, case: Case, alpha: float,
-            interval: tuple[float, float], derived: DerivedParams) -> Candidate:
-    # a corner is meaningful iff its producing case is active somewhere
-    lo, hi = interval
-    feasible = lo < hi and 0.0 < alpha < 1.0
-    return Candidate(name=name, case=case, alpha=alpha, exists=True,
-                     feasible=feasible,
-                     pop=pop_value(alpha, derived) if feasible else None)
-
-
-def _root(name: str, case: Case, roots: tuple[float, ...], index: int,
-          interval: tuple[float, float], derived: DerivedParams) -> Candidate:
-    if index >= len(roots):
-        return Candidate(name=name, case=case, alpha=None, exists=False,
-                         feasible=False, pop=None)
-    alpha = roots[index]
-    lo, hi = interval
-    # a stationary point only counts where its case formula is the active one
-    feasible = lo < alpha < hi and 0.0 < alpha < 1.0
-    return Candidate(name=name, case=case, alpha=alpha, exists=True,
-                     feasible=feasible,
-                     pop=pop_value(alpha, derived) if feasible else None)
-
-
-def candidate_set(derived: DerivedParams) -> CandidateSet:
-    """Build all six candidates, with POP evaluated at the feasible ones.
-
-    POP at a candidate is always evaluated through the full max-zeta form,
-    never a fixed-case formula, so corner points sitting exactly on a
-    boundary are valued consistently.
+    A corner ends a monotone piece (case 1 or 4) and counts where that
+    piece's interval is nonempty; a stationary point counts only strictly
+    inside its case interval. Both must lie in (0, 1). POP is evaluated
+    through the full max-zeta form, never a fixed-case formula, so a corner
+    sitting exactly on a boundary is valued consistently.
     """
     intervals = case_intervals(derived)
-    c1, c2 = corner_candidates(derived)
-    roots2 = case2_roots(derived)
-    roots3 = case3_roots(derived)
-    return CandidateSet(
-        alpha_c1=_corner("alpha_c1", Case.CASE1, c1,
-                         intervals[Case.CASE1], derived),
-        alpha_r1=_root("alpha_r1", Case.CASE2, roots2, 0,
-                       intervals[Case.CASE2], derived),
-        alpha_r2=_root("alpha_r2", Case.CASE2, roots2, 1,
-                       intervals[Case.CASE2], derived),
-        alpha_r3=_root("alpha_r3", Case.CASE3, roots3, 0,
-                       intervals[Case.CASE3], derived),
-        alpha_r4=_root("alpha_r4", Case.CASE3, roots3, 1,
-                       intervals[Case.CASE3], derived),
-        alpha_c2=_corner("alpha_c2", Case.CASE4, c2,
-                         intervals[Case.CASE4], derived),
-    )
+    bp = derived.breakpoints
+    r2 = stationary_roots(derived, Case.CASE2) + (None, None)
+    r3 = stationary_roots(derived, Case.CASE3) + (None, None)
+    rows = (("alpha_c1", Case.CASE1, min(bp.alpha2, bp.alpha5)),
+            ("alpha_r1", Case.CASE2, r2[0]),
+            ("alpha_r2", Case.CASE2, r2[1]),
+            ("alpha_r3", Case.CASE3, r3[0]),
+            ("alpha_r4", Case.CASE3, r3[1]),
+            ("alpha_c2", Case.CASE4, max(bp.alpha2, bp.alpha5)))
+    candidates = []
+    for name, case, alpha in rows:
+        lo, hi = intervals[case]
+        feasible = alpha is not None and 0.0 < alpha < 1.0 and (
+            lo < hi if case in (Case.CASE1, Case.CASE4) else lo < alpha < hi)
+        candidates.append(Candidate(
+            name, case, alpha, feasible,
+            pop_value(alpha, derived) if feasible else None))
+    return tuple(candidates)
 
 
-def optimize(config: SystemConfig) -> tuple[float, float, CandidateSet]:
+def optimize(config: SystemConfig) -> tuple[float, float,
+                                             tuple[Candidate, ...]]:
     """Globally optimal split, its POP, and the candidate set it came from.
 
     Ties between equal-POP candidates break toward the smallest alpha so the
@@ -208,7 +125,7 @@ def optimize(config: SystemConfig) -> tuple[float, float, CandidateSet]:
     """
     derived = DerivedParams.from_config(config)
     candidates = candidate_set(derived)
-    feasible = candidates.feasible()
+    feasible = [c for c in candidates if c.feasible]
     if not feasible:
         bp = derived.breakpoints
         detail = (f"alpha4={bp.alpha4:.6g} >= alpha3={bp.alpha3:.6g} "

@@ -193,8 +193,8 @@ def test_criterion_7_piecewise_continuity():
         for b in (bp.alpha2, bp.alpha5):
             if not eps < b < 1.0 - eps:
                 continue
-            left = classify_case(b - eps, d).label
-            right = classify_case(b + eps, d).label
+            left = classify_case(b - eps, d)
+            right = classify_case(b + eps, d)
             if Case.CASE5 in (left, right) or left == right:
                 continue
             worst = max(worst, abs(pop_value(b - eps, d)

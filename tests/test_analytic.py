@@ -17,6 +17,7 @@ from noma_pop import (
     pop,
     pop_curve,
     pop_value,
+    zetas,
 )
 from noma_pop.analytic import case_intervals
 
@@ -51,9 +52,9 @@ def literal_case(alpha: float, d: DerivedParams) -> Case:
 
 class TestClassify:
     def test_reference_points(self, ref_derived):
-        assert classify_case(0.5, ref_derived).label is Case.CASE3
-        assert classify_case(0.01, ref_derived).label is Case.CASE5
-        assert classify_case(0.2, ref_derived).label is Case.CASE1
+        assert classify_case(0.5, ref_derived) is Case.CASE3
+        assert classify_case(0.01, ref_derived) is Case.CASE5
+        assert classify_case(0.2, ref_derived) is Case.CASE1
 
     def test_rejects_boundary_alpha(self, ref_derived):
         with pytest.raises(ValueError):
@@ -67,7 +68,7 @@ class TestClassify:
             cfg = draw_config(rng)
             d = DerivedParams.from_config(cfg)
             for alpha in rng.uniform(0.001, 0.999, size=40):
-                got = classify_case(float(alpha), d).label
+                got = classify_case(float(alpha), d)
                 want = literal_case(float(alpha), d)
                 assert got is want, (cfg, alpha)
 
@@ -81,8 +82,8 @@ class TestClassify:
     def test_breakpoint_takes_right_hand_case(self, ref_derived):
         bp = ref_derived.breakpoints
         # alpha2 is the case-1/case-3 boundary at the reference parameters
-        assert classify_case(bp.alpha2, ref_derived).label is Case.CASE3
-        assert classify_case(bp.alpha5, ref_derived).label is Case.CASE4
+        assert classify_case(bp.alpha2, ref_derived) is Case.CASE3
+        assert classify_case(bp.alpha5, ref_derived) is Case.CASE4
 
     def test_case2_empty_at_reference(self, ref_derived):
         lo, hi = case_intervals(ref_derived)[Case.CASE2]
@@ -210,8 +211,8 @@ class TestContinuityAndEdges:
             for b in (bp.alpha2, bp.alpha5):
                 if not eps < b < 1 - eps:
                     continue
-                left = classify_case(b - eps, d).label
-                right = classify_case(b + eps, d).label
+                left = classify_case(b - eps, d)
+                right = classify_case(b + eps, d)
                 if Case.CASE5 in (left, right) or left == right:
                     continue
                 jump = abs(pop_value(b - eps, d) - pop_value(b + eps, d))
@@ -224,6 +225,18 @@ class TestContinuityAndEdges:
         cfg = dataclasses.replace(reference_config(), beta=0.0,
                                   rho_t_db=-60.0, pt_dbm=None, noise_dbm=None)
         assert pop_value(1e-300, DerivedParams.from_config(cfg)) == 1.0
+
+    def test_tiny_split_curve_matches_scalar_quietly(self):
+        # on arrays, both pi1 / (alpha * rho) and zeta1 / lambda1 overflow to
+        # the inf the float path gives; under -W error a warning would raise
+        cfg = dataclasses.replace(reference_config(), beta=0.0,
+                                  rho_t_db=-60.0, pt_dbm=None, noise_dbm=None)
+        d = DerivedParams.from_config(cfg)
+        splits = [5e-324, 1e-317, 1e-310, 1e-303, 1e-300, 1e-290, 0.5]
+        values, _ = pop_curve(np.array(splits), d)
+        assert values.tolist() == [pop_value(a, d) for a in splits]
+        z = zetas(np.array(splits), d)
+        assert z.zeta1.tolist() == [zetas(a, d).zeta1 for a in splits]
 
     def test_blows_up_at_feasible_edges(self, ref_derived):
         bp = ref_derived.breakpoints

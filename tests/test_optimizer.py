@@ -10,16 +10,13 @@ from noma_pop import (
     DerivedParams,
     NoFeasibleAllocationError,
     SystemConfig,
+    breakpoints,
     candidate_set,
-    case2_coefficients,
-    case2_roots,
-    case3_coefficients,
-    case3_roots,
-    corner_candidates,
     grid_oracle,
     optimize,
     reference_config,
     pop_value,
+    stationary_roots,
 )
 from noma_pop.analytic import case_intervals, pop_curve
 from noma_pop.optimizer import grid_min_near
@@ -64,9 +61,16 @@ def case3_bracket(d: DerivedParams):
     return f, (d.breakpoints.alpha4, d.breakpoints.alpha3)
 
 
+def corners(d: DerivedParams) -> tuple[float, float]:
+    """The alphas of the two corner candidates, alpha_c1 and alpha_c2."""
+    cands = candidate_set(d)
+    assert (cands[0].name, cands[-1].name) == ("alpha_c1", "alpha_c2")
+    return cands[0].alpha, cands[-1].alpha
+
+
 class TestCorners:
     def test_reference_assignment(self, ref_derived):
-        c1, c2 = corner_candidates(ref_derived)
+        c1, c2 = corners(ref_derived)
         bp = ref_derived.breakpoints
         assert bp.alpha5 > bp.alpha2  # the always-true ordering for beta < 1
         assert c1 == bp.alpha2
@@ -78,7 +82,7 @@ class TestCorners:
         d = DerivedParams.from_config(cfg)
         assert d.breakpoints.alpha2 == pytest.approx(d.breakpoints.alpha5,
                                                      abs=1e-15)
-        c1, c2 = corner_candidates(d)
+        c1, c2 = corners(d)
         assert c1 == pytest.approx(c2, abs=1e-15)
 
     def test_crossover_order_identity(self):
@@ -89,7 +93,6 @@ class TestCorners:
             pi1 = rng.uniform(1e-3, 3.0)
             pi2 = rng.uniform(1e-3, 3.0)
             beta = rng.uniform(0.0, 1.0)
-            from noma_pop import breakpoints
             bp = breakpoints(pi1, pi2, beta)
             identity = (pi1 * pi2 * (1 - beta)
                         / (beta * pi1 * pi2 + pi1 * pi2 + pi1 + pi2))
@@ -101,7 +104,7 @@ class TestQuadratics:
     def test_reference_case3_roots(self, ref_derived):
         # both roots sit outside the active case-3 interval at the reference
         # parameters (frozen from bisection of the sign term)
-        roots = case3_roots(ref_derived)
+        roots = stationary_roots(ref_derived, Case.CASE3)
         assert len(roots) == 2
         assert sorted(roots) == pytest.approx(
             [0.7068132007836971, 1.4067002060252363], rel=1e-12)
@@ -109,7 +112,7 @@ class TestQuadratics:
         assert all(not lo < r < hi for r in roots)
 
     def test_reference_case2_roots(self, ref_derived):
-        roots = case2_roots(ref_derived)
+        roots = stationary_roots(ref_derived, Case.CASE2)
         assert sorted(roots) == pytest.approx(
             [-0.5172871284803026, 0.26796254620988613], rel=1e-12)
 
@@ -123,7 +126,8 @@ class TestQuadratics:
             if not f(a) < 0 < f(b):
                 continue
             root = bisect_bracket(f, a, b)
-            in_domain = [r for r in case2_roots(d) if lo < r < hi]
+            in_domain = [r for r in stationary_roots(d, Case.CASE2)
+                         if lo < r < hi]
             assert len(in_domain) == 1
             assert in_domain[0] == pytest.approx(root, abs=1e-9)
             matched += 1
@@ -139,7 +143,8 @@ class TestQuadratics:
             if not f(a) < 0 < f(b):
                 continue
             root = bisect_bracket(f, a, b)
-            in_domain = [r for r in case3_roots(d) if lo < r < hi]
+            in_domain = [r for r in stationary_roots(d, Case.CASE3)
+                         if lo < r < hi]
             assert len(in_domain) == 1
             assert in_domain[0] == pytest.approx(root, abs=1e-9)
             matched += 1
@@ -151,46 +156,40 @@ class TestQuadratics:
             d = DerivedParams.from_config(draw_config(rng))
             s1 = d.beta * d.pi1 + 1.0
             s2 = d.beta * d.pi2 + 1.0
-            for r in case2_roots(d):
+            for r in stationary_roots(d, Case.CASE2):
                 lhs = d.pi2 * s2 / (d.lambda2 * d.rho_t * (1 - r * s2) ** 2)
                 rhs = d.pi1 * s1 / (d.lambda1 * d.rho_t
                                     * (r * s1 - d.beta * d.pi1) ** 2)
                 assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs))
             t1 = d.pi1 + 1.0
             t2 = d.pi2 + 1.0
-            for r in case3_roots(d):
+            for r in stationary_roots(d, Case.CASE3):
                 lhs = d.pi2 * t2 / (d.lambda1 * d.rho_t * (1 - r * t2) ** 2)
                 rhs = d.pi1 * t1 / (d.lambda2 * d.rho_t
                                     * (r * t1 - d.pi1) ** 2)
                 assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs))
 
     def test_degenerate_linear_symmetric(self):
-        # equal distances and equal thresholds zero the leading coefficient
-        # exactly; the stationary point is the midpoint split
+        # equal distances and equal thresholds make the quadratic linear, so
+        # each case has a single stationary point: the midpoint split
         cfg = SystemConfig(d1=100.0, d2=100.0, path_loss_constant=1.0,
                            path_loss_exponent=3.0, rho_t_db=60.0, beta=0.2,
                            r1_th=0.1, r2_th=0.1)
         d = DerivedParams.from_config(cfg)
-        assert case2_coefficients(d).a == 0.0
-        assert case3_coefficients(d).a == 0.0
-        (r2,) = case2_roots(d)
-        (r3,) = case3_roots(d)
+        (r2,) = stationary_roots(d, Case.CASE2)
+        (r3,) = stationary_roots(d, Case.CASE3)
         assert r2 == pytest.approx(0.5, rel=1e-14)
         assert r3 == pytest.approx(0.5, rel=1e-14)
 
     def test_solver_edge_cases(self):
         # the physical quadratics always factor into two real linear forms,
         # so the no-root and double-degenerate branches are contract-only
-        from noma_pop.optimizer import QuadraticCoefficients, _solve_quadratic
-        assert _solve_quadratic(
-            QuadraticCoefficients(1.0, 0.0, 1.0, Case.CASE2)) == ()
-        assert _solve_quadratic(
-            QuadraticCoefficients(0.0, 2.0, -1.0, Case.CASE2)) == (0.5,)
-        assert _solve_quadratic(
-            QuadraticCoefficients(0.0, 0.0, 1.0, Case.CASE2)) == ()
+        from noma_pop.optimizer import _solve_quadratic
+        assert _solve_quadratic(1.0, 0.0, 1.0) == ()
+        assert _solve_quadratic(0.0, 2.0, -1.0) == (0.5,)
+        assert _solve_quadratic(0.0, 0.0, 1.0) == ()
         # stable formula reproduces both roots of (x-1)(x-3)
-        roots = _solve_quadratic(
-            QuadraticCoefficients(1.0, -4.0, 3.0, Case.CASE3))
+        roots = _solve_quadratic(1.0, -4.0, 3.0)
         assert sorted(roots) == pytest.approx([1.0, 3.0], rel=1e-14)
 
 
@@ -200,8 +199,9 @@ class TestOptimize:
         # the optimum is the case-4 corner (crossover alpha5)
         assert alpha_star == ref_derived.breakpoints.alpha5
         assert pop_star == pytest.approx(0.15620725488435605, rel=1e-13)
-        assert cands.alpha_c2.feasible
-        assert not cands.alpha_r3.feasible
+        by_name = {c.name: c for c in cands}
+        assert by_name["alpha_c2"].feasible
+        assert not by_name["alpha_r3"].feasible
 
     def test_matches_grid_oracle_at_reference(self, ref_config):
         alpha_star, pop_star, _ = optimize(ref_config)
@@ -222,9 +222,10 @@ class TestOptimize:
                                      pt_dbm=None, noise_dbm=None)
         c_lo = candidate_set(DerivedParams.from_config(ref_config))
         c_hi = candidate_set(DerivedParams.from_config(cfg_hi))
-        for a, b in zip(c_lo.all(), c_hi.all()):
+        assert len(c_lo) == len(c_hi) == 6
+        for a, b in zip(c_lo, c_hi):
             assert a.alpha == b.alpha
-            assert a.exists == b.exists and a.feasible == b.feasible
+            assert a.feasible == b.feasible
 
     def test_benchmark_dominance(self):
         rng = np.random.default_rng(35)
@@ -254,10 +255,109 @@ class TestOptimize:
         rng = np.random.default_rng(37)
         for _ in range(50):
             d = DerivedParams.from_config(draw_config(rng))
-            for c in candidate_set(d).feasible():
+            for c in [c for c in candidate_set(d) if c.feasible]:
                 assert 0.0 < c.alpha < 1.0
                 lo, hi = case_intervals(d)[c.case]
                 assert lo - 1e-15 <= c.alpha <= hi + 1e-15
+
+
+# per config of ``pinned_config``: the candidate rows (name, case,
+# repr(alpha), feasible, repr(pop)) and the optimum (repr(alpha_star),
+# repr(pop_star)), recorded from the earlier class-based candidate set and
+# compared exactly
+PINNED = {
+    "beta0": ((
+        ("alpha_c1", "Case1", "0.48267825516781476", 1, "0.16446036698842423"),
+        ("alpha_r1", "Case2", "0.2612038749637415", 0, "None"),
+        ("alpha_r2", "Case2", "-0.5469181606780271", 0, "None"),
+        ("alpha_r3", "Case3", "0.7068132007836971", 0, "None"),
+        ("alpha_r4", "Case3", "1.4067002060252363", 0, "None"),
+        ("alpha_c2", "Case4", "0.5173217448321852", 1, "0.15535142877564673"),
+    ), ("0.5173217448321852", "0.15535142877564673")),
+    "beta1": ((
+        ("alpha_c1", "Case1", "0.5", 1, "0.15968397662611244"),
+        ("alpha_r1", "Case2", "0.29318679921630286", 0, "None"),
+        ("alpha_r2", "Case2", "-0.40670020602523627", 0, "None"),
+        ("alpha_r3", "Case3", "0.7068132007836971", 0, "None"),
+        ("alpha_r4", "Case3", "1.4067002060252363", 0, "None"),
+        ("alpha_c2", "Case4", "0.5", 1, "0.15968397662611244"),
+    ), ("0.5", "0.15968397662611244")),
+    "equal_distances": ((
+        ("alpha_c1", "Case1", "0.4862379571719466", 1, "0.03796139263386752"),
+        ("alpha_r1", "Case2", "0.5000000000000001", 0, "None"),
+        ("alpha_r2", "Case2", "None", 0, "None"),
+        ("alpha_r3", "Case3", "0.5", 1, "0.03792378780539485"),
+        ("alpha_r4", "Case3", "None", 0, "None"),
+        ("alpha_c2", "Case4", "0.5137620428280533", 1, "0.03796139263386752"),
+    ), ("0.5", "0.03792378780539485")),
+    "case3_root": ((
+        ("alpha_c1", "Case1", "0.565247002416826", 1, "0.148219923896924"),
+        ("alpha_r1", "Case2", "0.49355286789910613", 0, "None"),
+        ("alpha_r2", "Case2", "-14.726636915129651", 0, "None"),
+        ("alpha_r3", "Case3", "0.6062161031562482", 1, "0.1462561550715672"),
+        ("alpha_r4", "Case3", "2.041533640468968", 0, "None"),
+        ("alpha_c2", "Case4", "0.6305460691953734", 1, "0.14700776390445933"),
+    ), ("0.6062161031562482", "0.1462561550715672")),
+    "case2_root": ((
+        ("alpha_c1", "Case1", "0.3505168033422431", 1, "0.5612947963815639"),
+        ("alpha_r1", "Case2", "0.4058084414459282", 1, "0.43284736797000767"),
+        ("alpha_r2", "Case2", "-0.08612595740775107", 0, "None"),
+        ("alpha_r3", "Case3", "0.45406413701707676", 0, "None"),
+        ("alpha_r4", "Case3", "10.60774837468988", 0, "None"),
+        ("alpha_c2", "Case4", "0.4531807981213548", 1, "0.4863447847509911"),
+    ), None),
+    "no_feasible": ((
+        ("alpha_c1", "Case1", "0.37499999999999994", 0, "None"),
+        ("alpha_r1", "Case2", "0.340802583309161", 0, "None"),
+        ("alpha_r2", "Case2", "-0.19794544045201806", 0, "None"),
+        ("alpha_r3", "Case3", "0.5", 0, "None"),
+        ("alpha_r4", "Case3", "0.5", 0, "None"),
+        ("alpha_c2", "Case4", "0.625", 0, "None"),
+    ), NoFeasibleAllocationError),
+}
+
+
+def pinned_config(key: str) -> SystemConfig:
+    return dataclasses.replace(reference_config(), **{
+        "beta0": dict(beta=0.0),
+        "beta1": dict(beta=1.0),  # alpha2 == alpha5: the corners collapse
+        "equal_distances": dict(d2=50.0),  # the linear (degenerate) case
+        "case3_root": dict(d2=60.0, r1_th=0.3, r2_th=0.2),
+        "case2_root": dict(d2=60.0, r1_th=0.3, r2_th=0.5),
+        "no_feasible": dict(r1_th=1.0, r2_th=1.0),  # pi1 * pi2 = 1
+    }[key])
+
+
+def pinned_derived(key: str) -> DerivedParams:
+    d = DerivedParams.from_config(pinned_config(key))
+    if key != "case2_root":
+        return d
+    # the case-2 interval is empty for every beta <= 1 (alpha5 >= alpha2), so
+    # only a hand-built beta = 2, outside SystemConfig's range, reaches a
+    # feasible case-2 root
+    return dataclasses.replace(d, beta=2.0,
+                               breakpoints=breakpoints(d.pi1, d.pi2, 2.0))
+
+
+class TestPinnedCandidates:
+    @pytest.mark.parametrize("key", sorted(PINNED))
+    def test_candidate_rows(self, key):
+        rows, _ = PINNED[key]
+        got = tuple((c.name, c.case.label, repr(c.alpha), int(c.feasible),
+                     repr(c.pop)) for c in candidate_set(pinned_derived(key)))
+        assert got == rows
+
+    @pytest.mark.parametrize("key", sorted(k for k in PINNED
+                                           if k != "case2_root"))
+    def test_optimum(self, key):
+        _, want = PINNED[key]
+        if want is NoFeasibleAllocationError:
+            with pytest.raises(NoFeasibleAllocationError):
+                optimize(pinned_config(key))
+            return
+        alpha_star, pop_star, cands = optimize(pinned_config(key))
+        assert (repr(alpha_star), repr(pop_star)) == want
+        assert cands == candidate_set(pinned_derived(key))
 
 
 class TestGridOracle:

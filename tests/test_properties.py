@@ -67,7 +67,7 @@ def test_scalar_and_vector_paths_agree_bitwise(config, split_list):
     values, cases = pop_curve(np.array(split_list), derived)
     for alpha, value, case in zip(split_list, values, cases):
         assert value == pop_value(alpha, derived)
-        assert case == classify_case(alpha, derived).label
+        assert case == classify_case(alpha, derived)
 
 
 @PROPERTY
