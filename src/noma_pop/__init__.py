@@ -9,9 +9,7 @@ __version__ = "0.1.0"
 from .model import (
     Breakpoints,
     DerivedParams,
-    SinrTuple,
     SystemConfig,
-    ZetaTuple,
     breakpoints,
     db_to_linear,
     mean_gain,
@@ -23,7 +21,6 @@ from .model import (
 from .analytic import (
     Case,
     NotDifferentiableError,
-    PopValue,
     classify_case,
     dpop_dalpha,
     pop,
@@ -40,7 +37,6 @@ from .optimizer import (
 )
 from .montecarlo import (
     McConfig,
-    McEstimate,
     ValidationRow,
     binomial_z,
     pop_estimate,
@@ -50,13 +46,13 @@ from .montecarlo import (
 
 __all__ = [
     "__version__",
-    "Breakpoints", "DerivedParams", "SinrTuple", "SystemConfig", "ZetaTuple",
-    "breakpoints", "db_to_linear", "mean_gain", "reference_config",
-    "sinr_threshold", "sinrs", "zetas",
-    "Case", "NotDifferentiableError", "PopValue",
-    "classify_case", "dpop_dalpha", "pop", "pop_curve", "pop_value",
+    "Breakpoints", "DerivedParams", "SystemConfig", "breakpoints",
+    "db_to_linear", "mean_gain", "reference_config", "sinr_threshold",
+    "sinrs", "zetas",
+    "Case", "NotDifferentiableError", "classify_case", "dpop_dalpha", "pop",
+    "pop_curve", "pop_value",
     "Candidate", "NoFeasibleAllocationError", "candidate_set", "grid_oracle",
     "optimize", "stationary_roots",
-    "McConfig", "McEstimate", "ValidationRow", "binomial_z", "pop_estimate",
-    "sample_gains", "validate",
+    "McConfig", "ValidationRow", "binomial_z", "pop_estimate", "sample_gains",
+    "validate",
 ]

@@ -119,8 +119,8 @@ def pop_curve(alphas,
     """Vectorized POP over an array of splits in (0, 1).
 
     Returns (values, case_indices), equal element for element to
-    ``pop_value`` and ``classify_case``; used by the grid oracle and the
-    sweep runners where per-point calls would be wasteful.
+    ``pop_value`` and ``classify_case``; used by ``grid_oracle`` and
+    ``grid_min_near``, where per-point calls would be wasteful.
     """
     a = np.atleast_1d(np.asarray(alphas, dtype=float))
     with np.errstate(over="ignore"):  # overflow to inf, quietly as on floats

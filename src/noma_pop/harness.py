@@ -1,11 +1,11 @@
 """Experiment runner and CLI for the pair-outage analysis.
 
-Runs the standard experiment families (threshold sweeps, split sweeps, SNR
-sweeps, distance sweeps, scheme comparison, Monte Carlo validation) from a
-base configuration plus one sweep axis, and emits plot-ready CSV or JSON.
-Each family is defined once, in ``KINDS``, and each sweep subcommand in
-``SWEEPS``. Output is a pure function of configuration and seed: rerunning
-a command reproduces the file byte for byte.
+Runs the standard experiments (POP at one split, the optimum, threshold,
+split and SNR sweeps, scheme comparison, Monte Carlo validation) and emits
+plot-ready CSV or JSON. Each subcommand is registered once, in ``COMMANDS``;
+a sweep runs as an ``Experiment`` from a base configuration plus one sweep
+axis. Output is a pure function of configuration and seed: rerunning a
+command reproduces the file byte for byte.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -62,7 +62,7 @@ class SweepAxis:
 
 @dataclass(frozen=True)
 class Experiment:
-    """A runnable experiment: kind, base config, sweep axis, optional MC."""
+    """A runnable sweep: subcommand, base config, sweep axis, optional MC."""
 
     kind: str
     base: SystemConfig
@@ -70,9 +70,9 @@ class Experiment:
     mc: McConfig | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in COMMANDS:
             raise ValueError(f"unknown experiment kind {self.kind!r}")
-        spec = KINDS[self.kind]  # the axis and its bounds must suit the kind
+        spec = COMMANDS[self.kind]  # the axis and its bounds must suit it
         if self.sweep.name not in spec.axes:
             raise ValueError(f"{self.kind} cannot sweep {self.sweep.name!r}")
         if spec.reject and spec.reject[0](self):
@@ -124,23 +124,6 @@ def _scheme_improvements(rows: list[dict]) -> dict:
     return summary
 
 
-@dataclass(frozen=True)
-class KindSpec:
-    """One experiment kind: allowed ``axes`` and the config fields each
-    sets, a bound check (``reject``: failing test, error), and for the loop
-    in ``run`` the ``fixed`` updates, ``echo`` fields, row ``metrics``,
-    optional MC columns and ``footer``; or a ``body`` of its own."""
-
-    axes: dict[str, tuple[str, ...]]
-    reject: tuple[Callable[[Experiment], bool], str] | None = None
-    fixed: dict = field(default_factory=dict)
-    echo: tuple[str, ...] = ()
-    metrics: Callable[[SystemConfig], dict] | None = None
-    with_mc: bool = False
-    footer: Callable[[list[dict]], dict] | None = None
-    body: Callable[[Experiment], ResultTable] | None = None
-
-
 def run_sweep_alpha(exp: Experiment) -> ResultTable:
     """POP versus the power split, with the optimal split marked.
 
@@ -162,8 +145,7 @@ def run_sweep_alpha(exp: Experiment) -> ResultTable:
     return ResultTable(columns=list(rows[0]), rows=rows, summary=summary)
 
 
-def run_validate_mc(exp: Experiment, analytic_fn=None,
-                    enforce_ordering: bool = False) -> ResultTable:
+def run_validate_mc(exp: Experiment) -> ResultTable:
     """Analytic-vs-Monte-Carlo comparison over a split grid.
 
     The summary reports the largest |z| and how many points exceed the flag
@@ -171,9 +153,8 @@ def run_validate_mc(exp: Experiment, analytic_fn=None,
     """
     grid = [float(a) for a in exp.sweep.values()]
     if exp.mc is None:
-        raise ValueError("validate_mc requires a Monte Carlo configuration")
-    report = validate(exp.base, grid, exp.mc, analytic_fn=analytic_fn,
-                      enforce_ordering=enforce_ordering)
+        raise ValueError("validate-mc requires a Monte Carlo configuration")
+    report = validate(exp.base, grid, exp.mc)
     rows = [dataclasses.asdict(r) for r in report]
     abs_z = [abs(r.z) for r in report]
     summary = {"max_abs_z": max(abs_z),
@@ -181,52 +162,126 @@ def run_validate_mc(exp: Experiment, analytic_fn=None,
     return ResultTable(columns=list(rows[0]), rows=rows, summary=summary)
 
 
+def _pop_body(args: argparse.Namespace, config: SystemConfig,
+              mc: McConfig | None) -> ResultTable:
+    """POP and its case at ``--alpha``, plus MC columns when ``mc`` is set."""
+    row = {"alpha": args.alpha,
+           **_pop_case(args.alpha, DerivedParams.from_config(config))}
+    if mc is not None:
+        row.update(_mc_columns(config, args.alpha, row["pop"], mc))
+    return ResultTable(columns=list(row), rows=[row])
+
+
+def _optimize_body(args: argparse.Namespace, config: SystemConfig,
+                   mc: McConfig | None) -> ResultTable:
+    """The candidates and the optimum; ``--check`` adds the grid search."""
+    alpha_star, pop_star, candidates = optimize(config)
+    rows = [{
+        "candidate": c.name,
+        "case": c.case.label,
+        "alpha": c.alpha if c.alpha is not None else "",
+        "exists": int(c.alpha is not None),
+        "feasible": int(c.feasible),
+        "pop": c.pop if c.pop is not None else "",
+    } for c in candidates]
+    summary = {"alpha_star": alpha_star, "pop_star": pop_star}
+    if args.check:
+        grid_alpha, grid_pop = grid_oracle(config, step=GRID_STEP)
+        summary.update(grid_alpha=grid_alpha, grid_pop=grid_pop)
+        summary["check_ok"] = int(
+            grid_min_near(config, alpha_star, grid_pop, step=GRID_STEP)
+            and pop_star <= grid_pop + 1e-10)
+    return ResultTable(columns=list(rows[0]), rows=rows, summary=summary)
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: ``help``, extra ``flags`` (name, ``add_argument``
+    keywords) and, for ``pop`` and ``optimize``, a ``body`` building the
+    table from the parsed arguments. A sweep runs as an ``Experiment``:
+    ``axes`` and the config fields each sets, the ``--var`` default ``var``
+    if there are several, the default start/stop/count ``sweep``, a bound
+    check (``reject``: failing test, error), and a ``runner`` of its own or,
+    for the loop in ``run``, ``fixed`` updates, ``echo`` fields, row
+    ``metrics`` (MC columns follow with ``--with-mc``) and ``footer``."""
+
+    help: str
+    flags: tuple[tuple[str, dict], ...] = ()
+    body: Callable[..., ResultTable] | None = None
+    axes: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    var: str | None = None
+    sweep: tuple[float, float, int] | None = None
+    start_help: str | None = None
+    reject: tuple[Callable[[Experiment], bool], str] | None = None
+    fixed: dict = field(default_factory=dict)
+    echo: tuple[str, ...] = ()
+    metrics: Callable[[SystemConfig], dict] | None = None
+    footer: Callable[[list[dict]], dict] | None = None
+    runner: Callable[[Experiment], ResultTable] | None = None
+
+
 def _outside_unit_interval(exp: Experiment) -> bool:
     return not (0.0 < exp.sweep.start and exp.sweep.stop < 1.0)
 
 
-_D2_BOUNDS = (lambda exp: exp.sweep.start < exp.base.d1,
-              "far-user distance cannot drop below d1")
-
-KINDS = {
-    "sweep_threshold": KindSpec(
+COMMANDS = {
+    "pop": Command(
+        "evaluate POP at one split", body=_pop_body,
+        flags=(("--alpha", {"type": float, "default": EPA_ALPHA}),
+               ("--with-mc", {"action": "store_true", "help":
+                              "cross-check with the Monte Carlo estimator"}))),
+    "optimize": Command(
+        "closed-form optimal split", body=_optimize_body,
+        flags=(("--check", {"action": "store_true", "help": "cross-check the "
+                            "optimum against a 1e-5 grid search"}),)),
+    "sweep-alpha": Command(
+        "POP versus power split", axes={"alpha": ()}, sweep=(0.1, 0.9, 17),
+        reject=(_outside_unit_interval,
+                "alpha sweep bounds must lie inside (0, 1)"),
+        runner=run_sweep_alpha),
+    "sweep-threshold": Command(
+        "POP versus threshold rates",
         axes={"r1_th": ("r1_th",), "r2_th": ("r2_th",),
               "r_th_both": ("r1_th", "r2_th")},
+        var="r_th_both", sweep=(0.05, 0.5, 10),
         reject=(lambda exp: exp.sweep.start <= 0,
                 "threshold rates must be positive"),
         echo=("r1_th", "r2_th", "rho_t_db"), metrics=_epa_metrics,
-        with_mc=True),
-    "sweep_alpha": KindSpec(
-        axes={"alpha": ()}, body=run_sweep_alpha,
-        reject=(_outside_unit_interval,
-                "alpha sweep bounds must lie inside (0, 1)")),
-    "sweep_snr": KindSpec(axes={"rho_t_db": ("rho_t_db",)},
-                          fixed={"pt_dbm": None, "noise_dbm": None},
-                          echo=("rho_t_db",), metrics=_epa_metrics),
-    "compare_schemes": KindSpec(axes={"d2": ("d2",)}, reject=_D2_BOUNDS,
-                                echo=("d2",), metrics=_scheme_metrics,
-                                footer=_scheme_improvements),
-    "sweep_distance": KindSpec(axes={"d2": ("d2",)}, reject=_D2_BOUNDS,
-                               echo=("d2",), metrics=_epa_metrics),
-    "validate_mc": KindSpec(
-        axes={"alpha": ()}, body=run_validate_mc,
-        reject=(_outside_unit_interval, "alpha grid must lie inside (0, 1)")),
+        flags=(("--with-mc", {"action": "store_true"}),)),
+    "sweep-snr": Command(
+        "POP versus transmit SNR", axes={"rho_t_db": ("rho_t_db",)},
+        sweep=(40.0, 80.0, 9), fixed={"pt_dbm": None, "noise_dbm": None},
+        echo=("rho_t_db",), metrics=_epa_metrics),
+    "compare": Command(
+        "optimal vs equal vs fixed allocation", axes={"d2": ("d2",)},
+        sweep=(60.0, 200.0, 15),
+        start_help="far-user distance sweep start (m)",
+        reject=(lambda exp: exp.sweep.start < exp.base.d1,
+                "far-user distance cannot drop below d1"),
+        echo=("d2",), metrics=_scheme_metrics, footer=_scheme_improvements),
+    "validate-mc": Command(
+        "Monte Carlo validation of the closed form", axes={"alpha": ()},
+        sweep=(0.1, 0.9, 25),
+        reject=(_outside_unit_interval, "alpha grid must lie inside (0, 1)"),
+        # by name at call time, so a wrapper on run_validate_mc sees it
+        runner=lambda exp: run_validate_mc(exp)),
 }
 
 
 def run(exp: Experiment) -> ResultTable:
-    """Run an experiment as its kind's entry in ``KINDS`` says."""
-    spec = KINDS[exp.kind]
-    if spec.body is not None:
-        return spec.body(exp)
+    """Run a sweep as its subcommand's entry in ``COMMANDS`` says."""
+    spec = COMMANDS[exp.kind]
+    if spec.runner is not None:
+        return spec.runner(exp)
     fields = spec.axes[exp.sweep.name]
+    with_mc = exp.mc is not None and "--with-mc" in dict(spec.flags)
     rows = []
     for i, value in enumerate(exp.sweep.values()):
         config = dataclasses.replace(exp.base, **spec.fixed,
                                      **dict.fromkeys(fields, float(value)))
         row = {name: getattr(config, name) for name in spec.echo}
         row.update(spec.metrics(config))
-        if spec.with_mc and exp.mc is not None:
+        if with_mc:
             mc = dataclasses.replace(exp.mc, seed=point_seed(exp.mc.seed, i))
             row.update(_mc_columns(config, EPA_ALPHA, row["pop"], mc))
         rows.append(row)
@@ -318,33 +373,6 @@ def render_json(table: ResultTable, config: SystemConfig, title: str,
 # CLI
 # --------------------------------------------------------------------------
 
-class SweepCommand(NamedTuple):
-    """A sweep subcommand: its experiment kind, default axis and range."""
-
-    kind: str
-    axis: str  # the --var default when the kind allows several axes
-    start: float
-    stop: float
-    count: int
-    help: str
-    start_help: str | None = None
-
-
-SWEEPS = {
-    "sweep-alpha": SweepCommand("sweep_alpha", "alpha", 0.1, 0.9, 17,
-                                "POP versus power split"),
-    "sweep-threshold": SweepCommand("sweep_threshold", "r_th_both", 0.05, 0.5,
-                                    10, "POP versus threshold rates"),
-    "sweep-snr": SweepCommand("sweep_snr", "rho_t_db", 40.0, 80.0, 9,
-                              "POP versus transmit SNR"),
-    "compare": SweepCommand("compare_schemes", "d2", 60.0, 200.0, 15,
-                            "optimal vs equal vs fixed allocation",
-                            start_help="far-user distance sweep start (m)"),
-    "validate-mc": SweepCommand("validate_mc", "alpha", 0.1, 0.9, 25,
-                                "Monte Carlo validation of the closed form"),
-}
-
-
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", metavar="FILE",
                         help="key/value configuration file")
@@ -367,98 +395,49 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"noma-pop {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pop", help="evaluate POP at one split")
-    _add_common(p)
-    p.add_argument("--alpha", type=float, default=EPA_ALPHA)
-    p.add_argument("--with-mc", action="store_true",
-                   help="cross-check with the Monte Carlo estimator")
-
-    p = sub.add_parser("optimize", help="closed-form optimal split")
-    _add_common(p)
-    p.add_argument("--check", action="store_true",
-                   help="cross-check the optimum against a 1e-5 grid search")
-
-    for command, sweep in SWEEPS.items():
-        spec = KINDS[sweep.kind]
-        p = sub.add_parser(command, help=sweep.help)
+    for name, cmd in COMMANDS.items():
+        p = sub.add_parser(name, help=cmd.help)
         _add_common(p)
-        if len(spec.axes) > 1:
-            p.add_argument("--var", choices=tuple(spec.axes),
-                           default=sweep.axis)
-        p.add_argument("--start", type=float, default=sweep.start,
-                       help=sweep.start_help)
-        p.add_argument("--stop", type=float, default=sweep.stop)
-        p.add_argument("--count", type=int, default=sweep.count)
-        if spec.with_mc:
-            p.add_argument("--with-mc", action="store_true")
-        if command == "validate-mc":
-            p.add_argument("--enforce-ordering", action="store_true",
-                           help="experimental: swap draws so the near user "
-                                "always gets the larger gain")
-
+        if len(cmd.axes) > 1:
+            p.add_argument("--var", choices=tuple(cmd.axes), default=cmd.var)
+        if cmd.sweep is not None:
+            p.add_argument("--start", type=float, default=cmd.sweep[0],
+                           help=cmd.start_help)
+            p.add_argument("--stop", type=float, default=cmd.sweep[1])
+            p.add_argument("--count", type=int, default=cmd.sweep[2])
+        for flag, kwargs in cmd.flags:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def _dispatch(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else reference_config()
     mc = McConfig(trials=args.trials, seed=args.seed, chunk=args.chunk)
-    used_mc, failure = None, None
-
-    if args.command == "pop":
-        derived = DerivedParams.from_config(config)
-        row = {"alpha": args.alpha, **_pop_case(args.alpha, derived)}
-        if args.with_mc:
-            used_mc = mc
-            row.update(_mc_columns(config, args.alpha, row["pop"], mc))
-        table = ResultTable(columns=list(row), rows=[row])
-    elif args.command == "optimize":
-        alpha_star, pop_star, candidates = optimize(config)
-        rows = [{
-            "candidate": c.name,
-            "case": c.case.label,
-            "alpha": c.alpha if c.alpha is not None else "",
-            "exists": int(c.alpha is not None),
-            "feasible": int(c.feasible),
-            "pop": c.pop if c.pop is not None else "",
-        } for c in candidates]
-        summary = {"alpha_star": alpha_star, "pop_star": pop_star}
-        if args.check:
-            grid_alpha, grid_pop = grid_oracle(config, step=GRID_STEP)
-            summary.update(grid_alpha=grid_alpha, grid_pop=grid_pop)
-            summary["check_ok"] = int(
-                grid_min_near(config, alpha_star, grid_pop, step=GRID_STEP)
-                and pop_star <= grid_pop + 1e-10)
-            if not summary["check_ok"]:
-                failure = "closed-form optimum disagrees with the grid search"
-        table = ResultTable(columns=list(rows[0]), rows=rows, summary=summary)
-    else:  # a sweep; validate-mc always draws MC, sweep-threshold on request
-        sweep = SWEEPS[args.command]
-        validating = args.command == "validate-mc"
-        used_mc = mc if validating or getattr(args, "with_mc", False) else None
-        exp = Experiment(sweep.kind, config,
-                         SweepAxis(getattr(args, "var", sweep.axis),
-                                   args.start, args.stop, args.count),
-                         mc=used_mc)
-        if not validating:
-            table = run(exp)
-        else:
-            table = run_validate_mc(exp,
-                                    enforce_ordering=args.enforce_ordering)
-            if table.summary["flagged"] > 0:
-                failure = (f"{table.summary['flagged']} point(s) with "
-                           f"|z| > {Z_FLAG}")
+    if not (args.command == "validate-mc" or getattr(args, "with_mc", False)):
+        mc = None  # validate-mc always draws MC, the others on --with-mc
+    cmd = COMMANDS[args.command]
+    if cmd.body is not None:
+        table = cmd.body(args, config, mc)
+    else:
+        axis = getattr(args, "var", next(iter(cmd.axes)))
+        table = run(Experiment(args.command, config, SweepAxis(
+            axis, args.start, args.stop, args.count), mc=mc))
 
     render = render_csv if args.format == "csv" else render_json
-    text = render(table, config, args.command, mc=used_mc)
+    text = render(table, config, args.command, mc=mc)
     if args.out is None:
         sys.stdout.write(text)
     else:
         Path(args.out).write_text(text)
-    if failure:
-        print(f"validation failure: {failure}", file=sys.stderr)
-        return EXIT_VALIDATION_FAILURE
-    return EXIT_OK
+    summary = table.summary or {}
+    if summary.get("flagged", 0) > 0:
+        failure = f"{summary['flagged']} point(s) with |z| > {Z_FLAG}"
+    elif summary.get("check_ok") == 0:
+        failure = "closed-form optimum disagrees with the grid search"
+    else:
+        return EXIT_OK
+    print(f"validation failure: {failure}", file=sys.stderr)
+    return EXIT_VALIDATION_FAILURE
 
 
 def main(argv=None) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -57,21 +57,18 @@ def chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def sample_gains(rng: np.random.Generator, lambda1: float, lambda2: float,
-                 size: int | None = None):
-    """Independent exponential gain draws with means lambda1/lambda2.
+                 size: int):
+    """Two arrays of ``size`` exponential gains, means lambda1 and lambda2.
 
-    Uses the inverse-CDF transform of uniform variates, applied in place to
-    array draws. No ordering between the two gains is enforced; the closed
-    form models them as unordered independent exponentials and the
-    estimator must match it.
+    Uses the inverse-CDF transform of uniform variates, applied in place.
+    No ordering between the two gains is imposed; the closed form models
+    them as unordered independent exponentials and the estimator matches it.
     """
     if lambda1 <= 0 or lambda2 <= 0:
         raise ValueError("mean gains must be positive")
     u1 = rng.random(size)
     u2 = rng.random(size)
-    if size is None:
-        return -lambda1 * np.log1p(-u1), -lambda2 * np.log1p(-u2)
-    # the same bits as the scalar formula, without a temporary per step
+    # the same bits as -lam * np.log1p(-u), without a temporary per step
     for u, lam in ((u1, lambda1), (u2, lambda2)):
         np.negative(u, out=u)
         np.log1p(u, out=u)
@@ -84,45 +81,32 @@ def _chunk_sizes(trials: int, chunk: int) -> list[int]:
     return [chunk] * full + ([rem] if rem else [])
 
 
-def count_successes(config: SystemConfig, alpha: float, mc: McConfig,
-                    enforce_ordering: bool = False,
-                    chunk_order: Sequence[int] | None = None) -> int:
+def count_successes(config: SystemConfig, alpha: float, mc: McConfig) -> int:
     """Number of trials where all four decode conditions hold.
 
-    `chunk_order` permutes chunk evaluation (used to demonstrate that the
-    aggregate is schedule-independent); the result must not depend on it.
-    `enforce_ordering` swaps each draw so the near user gets the larger gain;
-    experimental knob for sensitivity studies, off in all validation paths.
+    Chunk `i` draws its gains from `chunk_rng(mc.seed, i)`; chunks run in
+    index order, and each chunk's count depends only on its own substream.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     derived = DerivedParams.from_config(config)
-    sizes = _chunk_sizes(mc.trials, mc.chunk)
-    order = range(len(sizes)) if chunk_order is None else chunk_order
-    if sorted(order) != list(range(len(sizes))):
-        raise ValueError("chunk_order must permute all chunk indices")
-
     successes = 0
-    for idx in order:
-        rng = chunk_rng(mc.seed, idx)
-        g1, g2 = sample_gains(rng, derived.lambda1, derived.lambda2,
-                              size=sizes[idx])
-        for lo in range(0, sizes[idx], BLOCK):
-            b1, b2 = g1[lo:lo + BLOCK], g2[lo:lo + BLOCK]
-            if enforce_ordering:
-                b1, b2 = np.maximum(b1, b2), np.minimum(b1, b2)
-            s = sinrs(alpha, b1, b2, derived.beta, derived.rho_t)
+    for idx, size in enumerate(_chunk_sizes(mc.trials, mc.chunk)):
+        g1, g2 = sample_gains(chunk_rng(mc.seed, idx), derived.lambda1,
+                              derived.lambda2, size=size)
+        for lo in range(0, size, BLOCK):
+            s = sinrs(alpha, g1[lo:lo + BLOCK], g2[lo:lo + BLOCK],
+                      derived.beta, derived.rho_t)
             ok = ((s.gamma11 > derived.pi1) & (s.gamma21 > derived.pi2)
                   & (s.gamma12 > derived.pi1) & (s.gamma22 > derived.pi2))
             successes += int(np.count_nonzero(ok))
     return successes
 
 
-def pop_estimate(config: SystemConfig, alpha: float, mc: McConfig,
-                 enforce_ordering: bool = False) -> McEstimate:
+def pop_estimate(config: SystemConfig, alpha: float,
+                 mc: McConfig) -> McEstimate:
     """Empirical POP with standard error and a clipped 95% normal CI."""
-    successes = count_successes(config, alpha, mc,
-                                enforce_ordering=enforce_ordering)
+    successes = count_successes(config, alpha, mc)
     n = mc.trials
     p_hat = 1.0 - successes / n
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / n)
@@ -163,29 +147,24 @@ def point_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def validate(config: SystemConfig, alpha_grid: Sequence[float], mc: McConfig,
-             analytic_fn: Callable[[float, DerivedParams], float] | None = None,
-             enforce_ordering: bool = False) -> list[ValidationRow]:
-    """Compare the closed form against the estimator over a grid of splits.
+def validate(config: SystemConfig, alpha_grid: Sequence[float],
+             mc: McConfig) -> list[ValidationRow]:
+    """Compare the closed form `pop_value` with the estimator on a grid.
 
     Each grid point runs on its own substream derived from the base seed, so
     points are statistically independent yet the whole report is a pure
-    function of (config, grid, mc). `analytic_fn` overrides the closed-form
-    evaluation (test hook for detector sanity checks). Callers flag
-    disagreement via the z column; |z| > 4 at any point is the conventional
-    failure condition.
+    function of (config, grid, mc). Callers flag disagreement via the z
+    column; |z| > 4 at any point is the conventional failure condition.
     """
     if len(alpha_grid) == 0:
         raise ValueError("alpha_grid must be nonempty")
-    fn = analytic_fn if analytic_fn is not None else pop_value
     derived = DerivedParams.from_config(config)
     rows = []
     for i, alpha in enumerate(alpha_grid):
         mc_i = McConfig(trials=mc.trials, seed=point_seed(mc.seed, i),
                         chunk=mc.chunk)
-        est = pop_estimate(config, alpha, mc_i,
-                           enforce_ordering=enforce_ordering)
-        analytic = fn(alpha, derived)
+        est = pop_estimate(config, alpha, mc_i)
+        analytic = pop_value(alpha, derived)
         rows.append(ValidationRow(
             alpha=float(alpha),
             analytic_pop=analytic,

@@ -120,7 +120,7 @@ def test_criterion_4_optimum_is_snr_invariant():
 def test_criterion_5_scheme_comparison():
     """15-point distance sweep: optimal allocation dominates both benchmarks
     and the average improvements land near the reference figures."""
-    exp = Experiment("compare_schemes", reference_config(),
+    exp = Experiment("compare", reference_config(),
                      SweepAxis("d2", 60.0, 200.0, 15))
     table = run(exp)
     dominated = all(r["pop_opa"] <= r["pop_epa"] + 1e-14

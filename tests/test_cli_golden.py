@@ -22,8 +22,7 @@ import pytest
 
 from noma_pop import DerivedParams, SystemConfig
 from noma_pop.harness import (
-    EPA_ALPHA, EXIT_INVALID_INPUT, EXIT_OK, EXIT_VALIDATION_FAILURE,
-    FPA_ALPHA, main)
+    COMMANDS, EPA_ALPHA, EXIT_INVALID_INPUT, EXIT_OK, FPA_ALPHA, main)
 
 from conftest import pop_reference
 
@@ -44,8 +43,6 @@ CASES = {
     "sweep_snr": (["sweep-snr"], EXIT_OK),
     "compare": (["compare"], EXIT_OK),
     "validate_mc": (["validate-mc"] + MC, EXIT_OK),
-    "validate_mc_enforce_ordering": (
-        ["validate-mc", "--enforce-ordering"] + MC, EXIT_VALIDATION_FAILURE),
     "compare_below_d1": (["compare", "--start", "30"], EXIT_INVALID_INPUT),
 }
 
@@ -66,6 +63,15 @@ def test_cli_output_matches_golden(name, fmt):
     assert code == want_code
     assert out == (GOLDEN / f"{name}.{fmt}").read_text()
     assert err == (err_file.read_text() if err_file.exists() else "")
+
+
+def test_every_command_has_a_case():
+    assert set(COMMANDS) <= {argv[0] for argv, _ in CASES.values()}
+
+
+def test_every_golden_file_has_a_case():
+    orphans = [f.name for f in GOLDEN.iterdir() if f.stem not in CASES]
+    assert orphans == []
 
 
 CONFIG_FIELDS = {f.name for f in dataclasses.fields(SystemConfig)}

@@ -20,6 +20,7 @@ from noma_pop.harness import (
     EXIT_VALIDATION_FAILURE,
     Experiment,
     SweepAxis,
+    build_parser,
     load_config,
     main,
     render_csv,
@@ -90,13 +91,13 @@ class TestConfigFile:
 
 class TestRunners:
     def test_threshold_sweep_monotone(self, ref_config):
-        exp = Experiment("sweep_threshold", ref_config,
+        exp = Experiment("sweep-threshold", ref_config,
                          SweepAxis("r_th_both", 0.05, 0.5, 12))
         pops = [r["pop"] for r in run(exp).rows]
         assert all(b >= a - 1e-12 for a, b in zip(pops, pops[1:]))
 
     def test_threshold_sweep_single_variable(self, ref_config):
-        exp = Experiment("sweep_threshold", ref_config,
+        exp = Experiment("sweep-threshold", ref_config,
                          SweepAxis("r2_th", 0.05, 0.5, 8))
         rows = run(exp).rows
         assert all(r["r1_th"] == ref_config.r1_th for r in rows)
@@ -104,7 +105,7 @@ class TestRunners:
         assert all(b >= a - 1e-12 for a, b in zip(pops, pops[1:]))
 
     def test_threshold_sweep_with_mc(self, ref_config):
-        exp = Experiment("sweep_threshold", ref_config,
+        exp = Experiment("sweep-threshold", ref_config,
                          SweepAxis("r_th_both", 0.1, 0.3, 3),
                          mc=McConfig(trials=100_000, seed=3, chunk=50_000))
         table = run(exp)
@@ -113,20 +114,20 @@ class TestRunners:
 
     def test_threshold_sweep_rejects_bad_axis(self, ref_config):
         with pytest.raises(ValueError):
-            run(Experiment("sweep_threshold", ref_config,
+            run(Experiment("sweep-threshold", ref_config,
                            SweepAxis("alpha", 0.1, 0.5, 5)))
         with pytest.raises(ValueError):
-            run(Experiment("sweep_threshold", ref_config,
+            run(Experiment("sweep-threshold", ref_config,
                            SweepAxis("r_th_both", -0.1, 0.5, 5)))
 
     def test_snr_sweep_monotone(self, ref_config):
-        exp = Experiment("sweep_snr", ref_config,
+        exp = Experiment("sweep-snr", ref_config,
                          SweepAxis("rho_t_db", 40.0, 80.0, 9))
         pops = [r["pop"] for r in run(exp).rows]
         assert all(b <= a + 1e-12 for a, b in zip(pops, pops[1:]))
 
     def test_alpha_sweep_marks_optimum(self, ref_config):
-        exp = Experiment("sweep_alpha", ref_config,
+        exp = Experiment("sweep-alpha", ref_config,
                          SweepAxis("alpha", 0.1, 0.9, 17))
         table = run(exp)
         marked = [r for r in table.rows if r["is_alpha_star"]]
@@ -138,7 +139,7 @@ class TestRunners:
         assert alphas == sorted(alphas)
 
     def test_alpha_sweep_unique_interior_minimum(self, ref_config):
-        exp = Experiment("sweep_alpha", ref_config,
+        exp = Experiment("sweep-alpha", ref_config,
                          SweepAxis("alpha", 0.1, 0.9, 81))
         rows = run(exp).rows
         pops = [r["pop"] for r in rows]
@@ -150,22 +151,11 @@ class TestRunners:
 
     def test_alpha_sweep_count_validated(self, ref_config):
         with pytest.raises(ValueError):
-            run(Experiment("sweep_alpha", ref_config,
+            run(Experiment("sweep-alpha", ref_config,
                            SweepAxis("alpha", 0.1, 0.9, 1)))
 
-    def test_distance_sweep_monotone(self, ref_config):
-        exp = Experiment("sweep_distance", ref_config,
-                         SweepAxis("d2", 60.0, 250.0, 12))
-        pops = [r["pop"] for r in run(exp).rows]
-        assert all(b >= a - 1e-12 for a, b in zip(pops, pops[1:]))
-
-    def test_distance_sweep_rejects_below_d1(self, ref_config):
-        with pytest.raises(ValueError):
-            run(Experiment("sweep_distance", ref_config,
-                           SweepAxis("d2", 40.0, 100.0, 4)))
-
     def test_compare_schemes(self, ref_config):
-        exp = Experiment("compare_schemes", ref_config,
+        exp = Experiment("compare", ref_config,
                          SweepAxis("d2", 60.0, 200.0, 15))
         table = run(exp)
         for row in table.rows:
@@ -182,11 +172,11 @@ class TestRunners:
 
     def test_compare_rejects_d2_below_d1(self, ref_config):
         with pytest.raises(ValueError):
-            run(Experiment("compare_schemes", ref_config,
+            run(Experiment("compare", ref_config,
                            SweepAxis("d2", 30.0, 100.0, 5)))
 
     def test_validate_mc_runner(self, ref_config):
-        exp = Experiment("validate_mc", ref_config,
+        exp = Experiment("validate-mc", ref_config,
                          SweepAxis("alpha", 0.2, 0.8, 4),
                          mc=McConfig(trials=100_000, seed=11, chunk=50_000))
         table = run(exp)
@@ -194,28 +184,29 @@ class TestRunners:
         again = run(exp)
         assert table.rows == again.rows
 
-    def test_validate_mc_detects_corruption(self, ref_config):
-        exp = Experiment("validate_mc", ref_config,
+    def test_validate_mc_detects_corruption(self, monkeypatch, ref_config):
+        exp = Experiment("validate-mc", ref_config,
                          SweepAxis("alpha", 0.3, 0.7, 3),
                          mc=McConfig(trials=100_000, seed=11, chunk=50_000))
-        table = run_validate_mc(
-            exp, analytic_fn=lambda a, d: min(1.0, pop_value(a, d) + 0.05))
+        monkeypatch.setattr(noma_pop.montecarlo, "pop_value",
+                            lambda a, d: min(1.0, pop_value(a, d) + 0.05))
+        table = run_validate_mc(exp)
         assert table.summary["flagged"] > 0
 
     def test_validate_mc_requires_mc(self, ref_config):
         with pytest.raises(ValueError):
-            run(Experiment("validate_mc", ref_config,
+            run(Experiment("validate-mc", ref_config,
                            SweepAxis("alpha", 0.2, 0.8, 4)))
 
     def test_unknown_kind_rejected(self, ref_config):
         with pytest.raises(ValueError):
-            Experiment("sweep_beta", ref_config,
+            Experiment("sweep-beta", ref_config,
                        SweepAxis("beta", 0.0, 1.0, 5))
 
 
 class TestOutput:
     def test_csv_deterministic(self, ref_config):
-        exp = Experiment("validate_mc", ref_config,
+        exp = Experiment("validate-mc", ref_config,
                          SweepAxis("alpha", 0.2, 0.8, 4),
                          mc=McConfig(trials=50_000, seed=2, chunk=25_000))
         a = render_csv(run(exp), ref_config, "validate-mc", mc=exp.mc)
@@ -225,7 +216,7 @@ class TestOutput:
         assert "alpha,analytic_pop,mc_pop,std_err,z" in a
 
     def test_all_emitted_probabilities_in_range(self, ref_config):
-        exp = Experiment("compare_schemes", ref_config,
+        exp = Experiment("compare", ref_config,
                          SweepAxis("d2", 60.0, 200.0, 8))
         table = run(exp)
         for row in table.rows:
@@ -346,10 +337,11 @@ class TestCli:
         code = main(["validate-mc", "--count", "3", "--start", "0.3",
                      "--stop", "0.7"] + FAST)
         assert code == EXIT_VALIDATION_FAILURE
-
-    def test_enforce_ordering_flag_runs(self):
-        assert main(["validate-mc", "--count", "3", "--enforce-ordering"]
-                    + FAST) in (EXIT_OK, EXIT_VALIDATION_FAILURE)
+        captured = capsys.readouterr()
+        flagged = int(captured.out.splitlines()[-1].removeprefix("# flagged="))
+        assert flagged > 0
+        assert captured.err == (f"validation failure: {flagged} point(s) "
+                                "with |z| > 4.0\n")
 
     def test_threshold_sweep_cli(self, capsys):
         assert main(["sweep-threshold", "--var", "r1_th", "--start", "0.05",
@@ -400,4 +392,65 @@ class TestOptimizeCheck:
         assert main(["optimize", "--check"]) == EXIT_VALIDATION_FAILURE
         captured = capsys.readouterr()
         assert captured.out.endswith("# check_ok=0\n")
-        assert "disagrees with the grid search" in captured.err
+        assert captured.err == ("validation failure: closed-form optimum "
+                                "disagrees with the grid search\n")
+
+
+COMMON = [("config", None), ("out", None), ("format", "csv"), ("seed", 12345),
+          ("trials", 1000000), ("chunk", 250000)]
+
+# vars() of each subcommand's parsed defaults, key order included, as
+# recorded before the subcommands moved into one table; the order follows
+# the add_argument calls, so a reordered flag shows up here
+PARSED_DEFAULTS = {
+    "pop": COMMON + [("alpha", 0.5), ("with_mc", False)],
+    "optimize": COMMON + [("check", False)],
+    "sweep-alpha": COMMON + [("start", 0.1), ("stop", 0.9), ("count", 17)],
+    "sweep-threshold": COMMON + [("var", "r_th_both"), ("start", 0.05),
+                                 ("stop", 0.5), ("count", 10),
+                                 ("with_mc", False)],
+    "sweep-snr": COMMON + [("start", 40.0), ("stop", 80.0), ("count", 9)],
+    "compare": COMMON + [("start", 60.0), ("stop", 200.0), ("count", 15)],
+    "validate-mc": COMMON + [("start", 0.1), ("stop", 0.9), ("count", 25)],
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", PARSED_DEFAULTS)
+    def test_parsed_defaults_pinned(self, command):
+        args = build_parser().parse_args([command])
+        assert list(vars(args).items()) == ([("command", command)]
+                                            + PARSED_DEFAULTS[command])
+
+    def test_every_command_is_pinned(self):
+        assert list(harness.COMMANDS) == list(PARSED_DEFAULTS)
+
+    @pytest.mark.parametrize("var", ["r1_th", "r2_th", "r_th_both"])
+    def test_threshold_var_choices(self, var):
+        args = build_parser().parse_args(["sweep-threshold", "--var", var])
+        assert args.var == var
+
+    def test_threshold_var_rejects_unknown(self, capsys):
+        assert main(["sweep-threshold", "--var", "bogus"]) \
+            == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'bogus'" in captured.err
+
+
+class TestMcFlagsChecked:
+    """``--trials``/``--chunk`` are checked on every subcommand, also where
+    no Monte Carlo runs."""
+
+    @pytest.mark.parametrize("command", [
+        ["optimize", "--trials", "0"],
+        ["sweep-snr", "--chunk", "0"],
+        ["pop", "--trials", "0"],
+    ])
+    def test_rejected_with_one_error_line(self, capsys, command):
+        assert main(command) == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.err.endswith("\n")
