@@ -455,7 +455,6 @@ def main(argv=None) -> int:
             return EXIT_NO_FEASIBLE_ALLOCATION
         return EXIT_INVALID_INPUT
     except MemoryError as exc:
-        # e.g. a huge --chunk: each MC chunk's draws are allocated at once
         print(f"error: out of memory: {str(exc) or 'allocation failed'}",
               file=sys.stderr)
         return EXIT_INVALID_INPUT

@@ -62,19 +62,28 @@ class SinrTuple(NamedTuple):
     gamma22: float
 
 
-def sinrs(alpha: float, g1, g2, beta: float, rho_t: float) -> SinrTuple:
+def sinrs(alpha: float, g1, g2, beta: float, rho_t: float,
+          out=None) -> SinrTuple:
     """SINRs of both messages at both receivers for one channel realization.
 
     User 1 and user 2 each decode the other user's message first (full
     interference from their own signal), then their own message after SIC
-    with residual factor beta. g1/g2 may be scalars or numpy arrays.
+    with residual factor beta. g1/g2 may be scalars or numpy arrays. With
+    ``out``, a (5, n) float array for n gains, the SINRs are written into
+    its first four rows, row 4 is scratch, and nothing is allocated.
     """
     inv_rho = 1.0 / rho_t
-    gamma21 = (1.0 - alpha) * g1 / (alpha * g1 + inv_rho)
-    gamma12 = alpha * g2 / ((1.0 - alpha) * g2 + inv_rho)
-    gamma11 = alpha * g1 / ((1.0 - alpha) * beta * g1 + inv_rho)
-    gamma22 = (1.0 - alpha) * g2 / (alpha * beta * g2 + inv_rho)
-    return SinrTuple(gamma21, gamma12, gamma11, gamma22)
+    dst = (None,) * 5 if out is None else out
+
+    def ratio(c, g, k, row):
+        # every SINR is c * g / (k * g + 1 / rho_t)
+        den = np.add(np.multiply(k, g, out=dst[4]), inv_rho, out=dst[4])
+        return np.divide(np.multiply(c, g, out=dst[row]), den, out=dst[row])
+
+    return SinrTuple(ratio(1.0 - alpha, g1, alpha, 0),
+                     ratio(alpha, g2, 1.0 - alpha, 1),
+                     ratio(alpha, g1, (1.0 - alpha) * beta, 2),
+                     ratio(1.0 - alpha, g2, alpha * beta, 3))
 
 
 @dataclass(frozen=True)

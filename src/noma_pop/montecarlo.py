@@ -5,9 +5,12 @@ decode conditions at SINR level, and counts the trials where any condition
 fails. Trials are split into fixed-size chunks, each driven by its own
 deterministically derived substream, so the aggregate count depends only on
 (seed, chunk size, trial count) and never on scheduling or worker count.
-Each chunk's gains are drawn in one piece, then its SINRs are evaluated and
-counted in slices of BLOCK trials, so the temporaries stay in cache. The
-decode conditions are elementwise, so the count does not depend on BLOCK.
+A chunk's substream holds all its u1 draws, then all its u2 draws. The chunk
+reads both halves block by block, u2 from a second copy of the substream
+advanced past the u1 half, so BLOCK trials at a time are drawn, turned into
+SINRs and counted in one workspace that stays in cache and is allocated once
+per call. The decode conditions are elementwise, so the count does not
+depend on BLOCK.
 """
 
 from __future__ import annotations
@@ -57,17 +60,22 @@ def chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def sample_gains(rng: np.random.Generator, lambda1: float, lambda2: float,
-                 size: int):
+                 size: int, rng2: np.random.Generator | None = None,
+                 out: np.ndarray | None = None):
     """Two arrays of ``size`` exponential gains, means lambda1 and lambda2.
 
     Uses the inverse-CDF transform of uniform variates, applied in place.
-    No ordering between the two gains is imposed; the closed form models
-    them as unordered independent exponentials and the estimator matches it.
+    The u2 draws come from ``rng2``, or else follow the u1 draws in ``rng``.
+    With ``out``, a (2, >= size) float array, the gains are written into its
+    first ``size`` columns. No ordering between the two gains is imposed; the
+    closed form models them as unordered independent exponentials and the
+    estimator matches it.
     """
     if lambda1 <= 0 or lambda2 <= 0:
         raise ValueError("mean gains must be positive")
-    u1 = rng.random(size)
-    u2 = rng.random(size)
+    u1, u2 = np.empty((2, size)) if out is None else out[:, :size]
+    rng.random(out=u1)
+    (rng if rng2 is None else rng2).random(out=u2)
     # the same bits as -lam * np.log1p(-u), without a temporary per step
     for u, lam in ((u1, lambda1), (u2, lambda2)):
         np.negative(u, out=u)
@@ -89,16 +97,24 @@ def count_successes(config: SystemConfig, alpha: float, mc: McConfig) -> int:
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    derived = DerivedParams.from_config(config)
+    d = DerivedParams.from_config(config)
+    block = min(BLOCK, mc.chunk, mc.trials)
+    # rows: two gains, four SINRs, the SINR denominator; the mask and scratch
+    work, masks = np.empty((7, block)), np.empty((2, block), dtype=bool)
     successes = 0
     for idx, size in enumerate(_chunk_sizes(mc.trials, mc.chunk)):
-        g1, g2 = sample_gains(chunk_rng(mc.seed, idx), derived.lambda1,
-                              derived.lambda2, size=size)
-        for lo in range(0, size, BLOCK):
-            s = sinrs(alpha, g1[lo:lo + BLOCK], g2[lo:lo + BLOCK],
-                      derived.beta, derived.rho_t)
-            ok = ((s.gamma11 > derived.pi1) & (s.gamma21 > derived.pi2)
-                  & (s.gamma12 > derived.pi1) & (s.gamma22 > derived.pi2))
+        rng, rng2 = chunk_rng(mc.seed, idx), chunk_rng(mc.seed, idx)
+        rng2.bit_generator.advance(size)  # one 64-bit output per double
+        for lo in range(0, size, block):
+            n = min(block, size - lo)
+            w, (ok, cond) = work[:, :n], masks[:, :n]
+            g1, g2 = sample_gains(rng, d.lambda1, d.lambda2, size=n,
+                                  rng2=rng2, out=w[:2])
+            s = sinrs(alpha, g1, g2, d.beta, d.rho_t, out=w[2:])
+            np.greater(s.gamma11, d.pi1, out=ok)
+            for gamma, pi in ((s.gamma21, d.pi2), (s.gamma12, d.pi1),
+                              (s.gamma22, d.pi2)):
+                ok &= np.greater(gamma, pi, out=cond)
             successes += int(np.count_nonzero(ok))
     return successes
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,24 @@ class TestSampling:
         u1, u2 = rng.random(70_001), rng.random(70_001)
         assert np.array_equal(g1, -lam1 * np.log1p(-u1))
         assert np.array_equal(g2, -lam2 * np.log1p(-u2))
+
+    @pytest.mark.parametrize("block", [16_384, 7_919])
+    def test_block_draws_from_two_streams_match_one_draw(self, block):
+        lam1, lam2, size = 8e-6, 1e-6, 70_001
+        g1, g2 = sample_gains(chunk_rng(5, 3), lam1, lam2, size=size)
+        rng, rng2 = chunk_rng(5, 3), chunk_rng(5, 3)
+        rng2.bit_generator.advance(size)
+        out = np.empty((2, block))
+        parts = ([], [])
+        for lo in range(0, size, block):
+            n = min(block, size - lo)
+            for part, g in zip(parts, sample_gains(rng, lam1, lam2, size=n,
+                                                   rng2=rng2, out=out)):
+                assert np.shares_memory(g, out)
+                part.append(g.copy())
+        for whole, part in zip((g1, g2), parts):
+            assert np.array_equal(whole.view(np.int64),
+                                  np.concatenate(part).view(np.int64))
 
     def test_rejects_bad_means(self):
         with pytest.raises(ValueError):
@@ -138,6 +157,21 @@ class TestPinnedCounts:
         want = count_successes(ref_config, 0.45, mc)
         monkeypatch.setattr(noma_pop.montecarlo, "BLOCK", block)
         assert count_successes(ref_config, 0.45, mc) == want
+
+
+class TestKernelMemory:
+    def test_peak_is_one_block_workspace_whatever_the_chunk(self, ref_config):
+        peaks = []
+        for chunk in (250_000, 1_000_000):
+            mc = McConfig(trials=1_000_000, seed=8, chunk=chunk)
+            tracemalloc.start()
+            try:
+                count_successes(ref_config, 0.5, mc)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 2 * 2**20
+        assert abs(peaks[0] - peaks[1]) <= 64 * 2**10
 
 
 class TestZScore:

@@ -1,4 +1,5 @@
-"""Property tests of the closed form, the optimizer and the input checks.
+"""Property tests of the closed form, the optimizer, the input checks and
+the Monte Carlo kernel.
 
 Examples are derandomized and counted, so the run is the same every time
 and stays short.
@@ -11,6 +12,7 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,16 +21,22 @@ from hypothesis import strategies as st
 
 from noma_pop import (
     DerivedParams,
+    McConfig,
     NoFeasibleAllocationError,
     SystemConfig,
     classify_case,
     optimize,
     pop_curve,
     pop_value,
+    reference_config,
+    sample_gains,
+    sinrs,
 )
+from noma_pop import montecarlo
 from noma_pop.harness import (
     EXIT_INVALID_INPUT, EXIT_NO_FEASIBLE_ALLOCATION, EXIT_OK,
     EXIT_VALIDATION_FAILURE, SweepAxis, main)
+from noma_pop.montecarlo import chunk_rng, count_successes
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
                     database=None)
@@ -164,3 +172,46 @@ def test_fuzzed_config_fails_cleanly_or_prints_finite_numbers(values):
                 except ValueError:
                     continue
                 assert math.isfinite(number), (command, token)
+
+
+def whole_chunk_count(config, alpha, mc, block):
+    """The kernel with each chunk's gains drawn in one piece: u1 then u2
+    from the chunk's substream, SINRs and conditions on ``block`` slices."""
+    d = DerivedParams.from_config(config)
+    successes = 0
+    for idx, start in enumerate(range(0, mc.trials, mc.chunk)):
+        size = min(mc.chunk, mc.trials - start)
+        g1, g2 = sample_gains(chunk_rng(mc.seed, idx), d.lambda1, d.lambda2,
+                              size)
+        for lo in range(0, size, block):
+            s = sinrs(alpha, g1[lo:lo + block], g2[lo:lo + block], d.beta,
+                      d.rho_t)
+            ok = ((s.gamma11 > d.pi1) & (s.gamma21 > d.pi2)
+                  & (s.gamma12 > d.pi1) & (s.gamma22 > d.pi2))
+            successes += int(np.count_nonzero(ok))
+    return successes
+
+
+@st.composite
+def kernel_runs(draw):
+    """Trial count, chunk and block, with at most 300 blocks in a run so
+    that one example stays in the milliseconds."""
+    block = draw(st.integers(min_value=1, max_value=40_000))
+    chunk = draw(st.integers(min_value=1, max_value=100_000))
+    trials = draw(st.integers(min_value=1, max_value=min(
+        200_000, 300 * min(block, chunk))))
+    return trials, chunk, block
+
+
+@PROPERTY
+@given(kernel_runs(), alphas,
+       st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0),
+                 st.just(1.0)),
+       st.integers(min_value=0, max_value=2**32))
+def test_block_draws_count_like_whole_chunk_draws(run, alpha, beta, seed):
+    trials, chunk, block = run
+    config = dataclasses.replace(reference_config(), beta=beta)
+    mc = McConfig(trials=trials, seed=seed, chunk=chunk)
+    with mock.patch.object(montecarlo, "BLOCK", block):
+        got = count_successes(config, alpha, mc)
+    assert got == whole_chunk_count(config, alpha, mc, block)
