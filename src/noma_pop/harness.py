@@ -3,8 +3,8 @@
 Runs the standard experiments (POP at one split, the optimum, threshold,
 split and SNR sweeps, scheme comparison, Monte Carlo validation) and emits
 plot-ready CSV or JSON. Each subcommand is registered once, in ``COMMANDS``;
-a sweep runs as an ``Experiment`` from a base configuration plus one sweep
-axis. Output is a pure function of configuration and seed: rerunning a
+a sweep runs as an ``Experiment``: a base configuration, one swept axis and
+its inclusive linspace. Output is a pure function of configuration and seed: rerunning a
 command reproduces the file byte for byte.
 """
 
@@ -22,17 +22,16 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .analytic import classify_case, pop_value
+from . import analytic
+from .analytic import pop_value
 from .model import DerivedParams, SystemConfig, reference_config
-from .montecarlo import (McConfig, binomial_z, point_seed, pop_estimate,
-                         validate)
+from .montecarlo import McConfig, check_point, point_seed, validate
 from .optimizer import (NoFeasibleAllocationError, grid_min_near,
                         grid_oracle, optimize)
 
 EPA_ALPHA = 0.5  # equal power allocation benchmark
 FPA_ALPHA = 0.4  # fixed power allocation benchmark
 Z_FLAG = 4.0     # validation failure threshold on |z|
-GRID_STEP = 1e-5  # resolution of the optimize --check grid search
 
 EXIT_OK = 0
 EXIT_INVALID_INPUT = 1
@@ -41,13 +40,26 @@ EXIT_NO_FEASIBLE_ALLOCATION = 3
 
 
 @dataclass(frozen=True)
-class SweepAxis:
-    """One swept variable: name plus an inclusive linspace definition."""
+class Experiment:
+    """A runnable sweep: subcommand, base config, the swept ``axis`` at
+    ``count`` points from ``start`` to ``stop`` inclusive, optional MC."""
 
-    name: str
+    kind: str
+    base: SystemConfig
+    axis: str
     start: float
     stop: float
     count: int
+    mc: McConfig | None = None
+
+    def __post_init__(self):
+        if self.kind not in COMMANDS:
+            raise ValueError(f"unknown experiment kind {self.kind!r}")
+        spec = COMMANDS[self.kind]  # the axis and its bounds must suit it
+        if self.axis not in spec.axes:
+            raise ValueError(f"{self.kind} cannot sweep {self.axis!r}")
+        if spec.reject and spec.reject[0](self):
+            raise ValueError(spec.reject[1])
 
     def values(self) -> np.ndarray:
         for bound, value in (("start", self.start), ("stop", self.stop)):
@@ -60,45 +72,18 @@ class SweepAxis:
         return np.linspace(self.start, self.stop, self.count)
 
 
-@dataclass(frozen=True)
-class Experiment:
-    """A runnable sweep: subcommand, base config, sweep axis, optional MC."""
-
-    kind: str
-    base: SystemConfig
-    sweep: SweepAxis
-    mc: McConfig | None = None
-
-    def __post_init__(self):
-        if self.kind not in COMMANDS:
-            raise ValueError(f"unknown experiment kind {self.kind!r}")
-        spec = COMMANDS[self.kind]  # the axis and its bounds must suit it
-        if self.sweep.name not in spec.axes:
-            raise ValueError(f"{self.kind} cannot sweep {self.sweep.name!r}")
-        if spec.reject and spec.reject[0](self):
-            raise ValueError(spec.reject[1])
-
-
 @dataclass
 class ResultTable:
-    """Ordered result rows plus derived summary values for the footer."""
+    """Ordered result rows, whose keys are the columns, plus derived summary
+    values for the footer."""
 
-    columns: list[str]
     rows: list[dict]
     summary: dict | None = None
 
 
 def _pop_case(alpha: float, derived: DerivedParams) -> dict:
-    return {"pop": pop_value(alpha, derived),
-            "case": classify_case(alpha, derived).label}
-
-
-def _mc_columns(config: SystemConfig, alpha: float, pop: float,
-                mc: McConfig) -> dict:
-    """MC estimate at one split, its standard error and z against ``pop``."""
-    est = pop_estimate(config, alpha, mc)
-    return {"mc_pop": est.pop_hat, "std_err": est.std_err,
-            "z": binomial_z(est.pop_hat, pop, est.trials)}
+    p = analytic.pop(alpha, derived)
+    return {"pop": p.value, "case": p.case.label}
 
 
 def _epa_metrics(config: SystemConfig) -> dict:
@@ -130,7 +115,7 @@ def run_sweep_alpha(exp: Experiment) -> ResultTable:
     The optimum is inserted as an extra row (is_alpha_star=1) in sweep order
     so the emitted curve passes exactly through it.
     """
-    entries = [(float(a), 0) for a in exp.sweep.values()]
+    entries = [(float(a), 0) for a in exp.values()]
     derived = DerivedParams.from_config(exp.base)
     summary = None
     try:
@@ -142,7 +127,7 @@ def run_sweep_alpha(exp: Experiment) -> ResultTable:
     entries.sort()
     rows = [{"alpha": a, **_pop_case(a, derived), "is_alpha_star": flag}
             for a, flag in entries]
-    return ResultTable(columns=list(rows[0]), rows=rows, summary=summary)
+    return ResultTable(rows, summary)
 
 
 def run_validate_mc(exp: Experiment) -> ResultTable:
@@ -151,7 +136,7 @@ def run_validate_mc(exp: Experiment) -> ResultTable:
     The summary reports the largest |z| and how many points exceed the flag
     threshold; the CLI turns any flagged point into a validation failure.
     """
-    grid = [float(a) for a in exp.sweep.values()]
+    grid = [float(a) for a in exp.values()]
     if exp.mc is None:
         raise ValueError("validate-mc requires a Monte Carlo configuration")
     report = validate(exp.base, grid, exp.mc)
@@ -159,7 +144,7 @@ def run_validate_mc(exp: Experiment) -> ResultTable:
     abs_z = [abs(r.z) for r in report]
     summary = {"max_abs_z": max(abs_z),
                "flagged": sum(1 for z in abs_z if z > Z_FLAG)}
-    return ResultTable(columns=list(rows[0]), rows=rows, summary=summary)
+    return ResultTable(rows, summary)
 
 
 def _pop_body(args: argparse.Namespace, config: SystemConfig,
@@ -168,8 +153,9 @@ def _pop_body(args: argparse.Namespace, config: SystemConfig,
     row = {"alpha": args.alpha,
            **_pop_case(args.alpha, DerivedParams.from_config(config))}
     if mc is not None:
-        row.update(_mc_columns(config, args.alpha, row["pop"], mc))
-    return ResultTable(columns=list(row), rows=[row])
+        check = check_point(config, args.alpha, row["pop"], mc)
+        row.update(mc_pop=check.mc_pop, std_err=check.std_err, z=check.z)
+    return ResultTable([row])
 
 
 def _optimize_body(args: argparse.Namespace, config: SystemConfig,
@@ -186,12 +172,12 @@ def _optimize_body(args: argparse.Namespace, config: SystemConfig,
     } for c in candidates]
     summary = {"alpha_star": alpha_star, "pop_star": pop_star}
     if args.check:
-        grid_alpha, grid_pop = grid_oracle(config, step=GRID_STEP)
+        grid_alpha, grid_pop = grid_oracle(config)
         summary.update(grid_alpha=grid_alpha, grid_pop=grid_pop)
         summary["check_ok"] = int(
-            grid_min_near(config, alpha_star, grid_pop, step=GRID_STEP)
+            grid_min_near(config, alpha_star, grid_pop)
             and pop_star <= grid_pop + 1e-10)
-    return ResultTable(columns=list(rows[0]), rows=rows, summary=summary)
+    return ResultTable(rows, summary)
 
 
 @dataclass(frozen=True)
@@ -221,7 +207,7 @@ class Command:
 
 
 def _outside_unit_interval(exp: Experiment) -> bool:
-    return not (0.0 < exp.sweep.start and exp.sweep.stop < 1.0)
+    return not (0.0 < exp.start and exp.stop < 1.0)
 
 
 COMMANDS = {
@@ -244,7 +230,7 @@ COMMANDS = {
         axes={"r1_th": ("r1_th",), "r2_th": ("r2_th",),
               "r_th_both": ("r1_th", "r2_th")},
         var="r_th_both", sweep=(0.05, 0.5, 10),
-        reject=(lambda exp: exp.sweep.start <= 0,
+        reject=(lambda exp: exp.start <= 0,
                 "threshold rates must be positive"),
         echo=("r1_th", "r2_th", "rho_t_db"), metrics=_epa_metrics,
         flags=(("--with-mc", {"action": "store_true"}),)),
@@ -256,7 +242,7 @@ COMMANDS = {
         "optimal vs equal vs fixed allocation", axes={"d2": ("d2",)},
         sweep=(60.0, 200.0, 15),
         start_help="far-user distance sweep start (m)",
-        reject=(lambda exp: exp.sweep.start < exp.base.d1,
+        reject=(lambda exp: exp.start < exp.base.d1,
                 "far-user distance cannot drop below d1"),
         echo=("d2",), metrics=_scheme_metrics, footer=_scheme_improvements),
     "validate-mc": Command(
@@ -273,20 +259,20 @@ def run(exp: Experiment) -> ResultTable:
     spec = COMMANDS[exp.kind]
     if spec.runner is not None:
         return spec.runner(exp)
-    fields = spec.axes[exp.sweep.name]
+    fields = spec.axes[exp.axis]
     with_mc = exp.mc is not None and "--with-mc" in dict(spec.flags)
     rows = []
-    for i, value in enumerate(exp.sweep.values()):
+    for i, value in enumerate(exp.values()):
         config = dataclasses.replace(exp.base, **spec.fixed,
                                      **dict.fromkeys(fields, float(value)))
         row = {name: getattr(config, name) for name in spec.echo}
         row.update(spec.metrics(config))
         if with_mc:
             mc = dataclasses.replace(exp.mc, seed=point_seed(exp.mc.seed, i))
-            row.update(_mc_columns(config, EPA_ALPHA, row["pop"], mc))
+            check = check_point(config, EPA_ALPHA, row["pop"], mc)
+            row.update(mc_pop=check.mc_pop, std_err=check.std_err, z=check.z)
         rows.append(row)
-    return ResultTable(columns=list(rows[0]), rows=rows,
-                       summary=spec.footer(rows) if spec.footer else None)
+    return ResultTable(rows, spec.footer(rows) if spec.footer else None)
 
 
 # --------------------------------------------------------------------------
@@ -349,9 +335,9 @@ def render_csv(table: ResultTable, config: SystemConfig, title: str,
     header = f"# noma-pop {__version__} | {title} | {_config_line(config)}"
     if mc is not None:
         header += f" | trials={mc.trials} seed={mc.seed} chunk={mc.chunk}"
-    lines = [header, ",".join(table.columns)]
-    lines += [",".join(_fmt(row[c]) for c in table.columns)
-              for row in table.rows]
+    columns = list(table.rows[0])
+    lines = [header, ",".join(columns)]
+    lines += [",".join(_fmt(row[c]) for c in columns) for row in table.rows]
     lines += [f"# {key}={_fmt(value)}"
               for key, value in (table.summary or {}).items()]
     return "\n".join(lines) + "\n"
@@ -363,7 +349,7 @@ def render_json(table: ResultTable, config: SystemConfig, title: str,
             "config": dataclasses.asdict(config)}
     if mc is not None:
         meta["mc"] = dataclasses.asdict(mc)
-    doc = {"meta": meta, "columns": table.columns, "rows": table.rows}
+    doc = {"meta": meta, "columns": list(table.rows[0]), "rows": table.rows}
     if table.summary:
         doc["summary"] = table.summary
     return json.dumps(doc, indent=2) + "\n"
@@ -420,8 +406,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         table = cmd.body(args, config, mc)
     else:
         axis = getattr(args, "var", next(iter(cmd.axes)))
-        table = run(Experiment(args.command, config, SweepAxis(
-            axis, args.start, args.stop, args.count), mc=mc))
+        table = run(Experiment(args.command, config, axis, args.start,
+                               args.stop, args.count, mc=mc))
 
     render = render_csv if args.format == "csv" else render_json
     text = render(table, config, args.command, mc=mc)

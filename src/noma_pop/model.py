@@ -132,21 +132,6 @@ class SystemConfig:
                     f"rho_t_db={self.rho_t_db} inconsistent with "
                     f"pt_dbm - noise_dbm = {implied}")
 
-    @property
-    def rho_t(self) -> float:
-        """Transmit SNR as a linear ratio."""
-        return db_to_linear(self.rho_t_db)
-
-    @property
-    def lambda1(self) -> float:
-        return mean_gain(self.d1, self.path_loss_constant,
-                         self.path_loss_exponent)
-
-    @property
-    def lambda2(self) -> float:
-        return mean_gain(self.d2, self.path_loss_constant,
-                         self.path_loss_exponent)
-
 
 class Breakpoints(NamedTuple):
     """The six split values where a gain threshold flips sign or dominance.
@@ -192,13 +177,14 @@ class DerivedParams:
 
     @classmethod
     def from_config(cls, config: SystemConfig) -> "DerivedParams":
+        lp, e = config.path_loss_constant, config.path_loss_exponent
         try:  # a huge power in the conversions raises OverflowError
             pi1 = sinr_threshold(config.r1_th)
             pi2 = sinr_threshold(config.r2_th)
             return cls(
-                lambda1=config.lambda1,
-                lambda2=config.lambda2,
-                rho_t=config.rho_t,
+                lambda1=mean_gain(config.d1, lp, e),
+                lambda2=mean_gain(config.d2, lp, e),
+                rho_t=db_to_linear(config.rho_t_db),
                 pi1=pi1,
                 pi2=pi2,
                 beta=config.beta,

@@ -9,14 +9,15 @@ A chunk's substream holds all its u1 draws, then all its u2 draws. The chunk
 reads both halves block by block, u2 from a second copy of the substream
 advanced past the u1 half, so BLOCK trials at a time are drawn, turned into
 SINRs and counted in one workspace that stays in cache and is allocated once
-per call. The decode conditions are elementwise, so the count does not
-depend on BLOCK.
+per call. A chunk that fits in one block draws both halves from the one
+generator, u2 right after u1: the same bits, without the second copy. The
+decode conditions are elementwise, so the count does not depend on BLOCK.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -103,8 +104,10 @@ def count_successes(config: SystemConfig, alpha: float, mc: McConfig) -> int:
     work, masks = np.empty((7, block)), np.empty((2, block), dtype=bool)
     successes = 0
     for idx, size in enumerate(_chunk_sizes(mc.trials, mc.chunk)):
-        rng, rng2 = chunk_rng(mc.seed, idx), chunk_rng(mc.seed, idx)
-        rng2.bit_generator.advance(size)  # one 64-bit output per double
+        rng, rng2 = chunk_rng(mc.seed, idx), None
+        if size > block:  # else u2 follows u1 in rng, as in one whole draw
+            rng2 = chunk_rng(mc.seed, idx)
+            rng2.bit_generator.advance(size)  # one 64-bit output per double
         for lo in range(0, size, block):
             n = min(block, size - lo)
             w, (ok, cond) = work[:, :n], masks[:, :n]
@@ -163,6 +166,16 @@ def point_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def check_point(config: SystemConfig, alpha: float, analytic_pop: float,
+                mc: McConfig) -> ValidationRow:
+    """The MC estimate at one split, its standard error and its z against
+    the closed-form ``analytic_pop``."""
+    est = pop_estimate(config, alpha, mc)
+    return ValidationRow(alpha=float(alpha), analytic_pop=analytic_pop,
+                         mc_pop=est.pop_hat, std_err=est.std_err,
+                         z=binomial_z(est.pop_hat, analytic_pop, est.trials))
+
+
 def validate(config: SystemConfig, alpha_grid: Sequence[float],
              mc: McConfig) -> list[ValidationRow]:
     """Compare the closed form `pop_value` with the estimator on a grid.
@@ -175,17 +188,6 @@ def validate(config: SystemConfig, alpha_grid: Sequence[float],
     if len(alpha_grid) == 0:
         raise ValueError("alpha_grid must be nonempty")
     derived = DerivedParams.from_config(config)
-    rows = []
-    for i, alpha in enumerate(alpha_grid):
-        mc_i = McConfig(trials=mc.trials, seed=point_seed(mc.seed, i),
-                        chunk=mc.chunk)
-        est = pop_estimate(config, alpha, mc_i)
-        analytic = pop_value(alpha, derived)
-        rows.append(ValidationRow(
-            alpha=float(alpha),
-            analytic_pop=analytic,
-            mc_pop=est.pop_hat,
-            std_err=est.std_err,
-            z=binomial_z(est.pop_hat, analytic, est.trials),
-        ))
-    return rows
+    return [check_point(config, alpha, pop_value(alpha, derived),
+                        replace(mc, seed=point_seed(mc.seed, i)))
+            for i, alpha in enumerate(alpha_grid)]

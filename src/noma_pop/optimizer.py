@@ -7,8 +7,9 @@ corner points where the monotone pieces end, plus the stationary points of
 the case-2 and case-3 pieces. Both pieces share one stationarity quadratic,
 with the case's residual factor and mean gains plugged in. ``candidate_set``
 builds the six candidates from one table and marks the feasible ones;
-``optimize`` returns their argmin. An exhaustive grid search is kept
-alongside as an independent oracle for tests and validation runs.
+``optimize`` returns their argmin. An exhaustive grid search, at
+``GRID_STEP`` unless told otherwise, is kept alongside as an independent
+oracle: ``optimize --check`` and the tests run it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .model import DerivedParams, SystemConfig
 # leading coefficient below this (relative to the others) treats the
 # quadratic as linear
 DEGENERATE_QUADRATIC_RTOL = 1e-12
+GRID_STEP = 1e-5  # default resolution of grid_oracle and grid_min_near
 
 
 class NoFeasibleAllocationError(RuntimeError):
@@ -139,11 +141,12 @@ def optimize(config: SystemConfig) -> tuple[float, float,
 
 
 def grid_oracle(config: SystemConfig,
-                step: float = 1e-5) -> tuple[float, float]:
+                step: float = GRID_STEP) -> tuple[float, float]:
     """Exhaustive POP minimization over the grid {step, 2*step, ...} in (0, 1).
 
-    Independent check of the closed-form search; test/validation fixture, not
-    a production path. Ties break toward the smallest alpha.
+    Independent check of the closed-form search, run by ``optimize --check``
+    and the tests; ``optimize`` itself never uses it. Ties break toward the
+    smallest alpha.
     """
     if not 0.0 < step <= 1e-3:
         raise ValueError(f"step must lie in (0, 1e-3], got {step}")
@@ -157,7 +160,7 @@ def grid_oracle(config: SystemConfig,
 
 
 def grid_min_near(config: SystemConfig, alpha: float, grid_pop: float,
-                  step: float = 1e-5) -> bool:
+                  step: float = GRID_STEP) -> bool:
     """Whether a ``grid_oracle`` grid point within ``step`` of ``alpha``
     attains the grid minimum ``grid_pop``. Unlike the oracle's argmin, which
     breaks ties toward 0, this holds where POP is flat (saturated at 1)."""

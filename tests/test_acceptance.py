@@ -21,7 +21,7 @@ from noma_pop import (
     validate,
 )
 from noma_pop.analytic import Case, case_intervals, classify_case
-from noma_pop.harness import Experiment, SweepAxis, main, run
+from noma_pop.harness import Experiment, main, run
 
 from conftest import draw_config, fd_reference
 
@@ -121,7 +121,7 @@ def test_criterion_5_scheme_comparison():
     """15-point distance sweep: optimal allocation dominates both benchmarks
     and the average improvements land near the reference figures."""
     exp = Experiment("compare", reference_config(),
-                     SweepAxis("d2", 60.0, 200.0, 15))
+                     "d2", 60.0, 200.0, 15)
     table = run(exp)
     dominated = all(r["pop_opa"] <= r["pop_epa"] + 1e-14
                     and r["pop_opa"] <= r["pop_fpa"] + 1e-14

@@ -19,7 +19,6 @@ from noma_pop.harness import (
     EXIT_OK,
     EXIT_VALIDATION_FAILURE,
     Experiment,
-    SweepAxis,
     build_parser,
     load_config,
     main,
@@ -92,13 +91,13 @@ class TestConfigFile:
 class TestRunners:
     def test_threshold_sweep_monotone(self, ref_config):
         exp = Experiment("sweep-threshold", ref_config,
-                         SweepAxis("r_th_both", 0.05, 0.5, 12))
+                         "r_th_both", 0.05, 0.5, 12)
         pops = [r["pop"] for r in run(exp).rows]
         assert all(b >= a - 1e-12 for a, b in zip(pops, pops[1:]))
 
     def test_threshold_sweep_single_variable(self, ref_config):
         exp = Experiment("sweep-threshold", ref_config,
-                         SweepAxis("r2_th", 0.05, 0.5, 8))
+                         "r2_th", 0.05, 0.5, 8)
         rows = run(exp).rows
         assert all(r["r1_th"] == ref_config.r1_th for r in rows)
         pops = [r["pop"] for r in rows]
@@ -106,29 +105,29 @@ class TestRunners:
 
     def test_threshold_sweep_with_mc(self, ref_config):
         exp = Experiment("sweep-threshold", ref_config,
-                         SweepAxis("r_th_both", 0.1, 0.3, 3),
+                         "r_th_both", 0.1, 0.3, 3,
                          mc=McConfig(trials=100_000, seed=3, chunk=50_000))
         table = run(exp)
-        assert "mc_pop" in table.columns
+        assert "mc_pop" in table.rows[0]
         assert all(abs(r["z"]) < 4 for r in table.rows)
 
     def test_threshold_sweep_rejects_bad_axis(self, ref_config):
         with pytest.raises(ValueError):
             run(Experiment("sweep-threshold", ref_config,
-                           SweepAxis("alpha", 0.1, 0.5, 5)))
+                           "alpha", 0.1, 0.5, 5))
         with pytest.raises(ValueError):
             run(Experiment("sweep-threshold", ref_config,
-                           SweepAxis("r_th_both", -0.1, 0.5, 5)))
+                           "r_th_both", -0.1, 0.5, 5))
 
     def test_snr_sweep_monotone(self, ref_config):
         exp = Experiment("sweep-snr", ref_config,
-                         SweepAxis("rho_t_db", 40.0, 80.0, 9))
+                         "rho_t_db", 40.0, 80.0, 9)
         pops = [r["pop"] for r in run(exp).rows]
         assert all(b <= a + 1e-12 for a, b in zip(pops, pops[1:]))
 
     def test_alpha_sweep_marks_optimum(self, ref_config):
         exp = Experiment("sweep-alpha", ref_config,
-                         SweepAxis("alpha", 0.1, 0.9, 17))
+                         "alpha", 0.1, 0.9, 17)
         table = run(exp)
         marked = [r for r in table.rows if r["is_alpha_star"]]
         assert len(marked) == 1
@@ -140,7 +139,7 @@ class TestRunners:
 
     def test_alpha_sweep_unique_interior_minimum(self, ref_config):
         exp = Experiment("sweep-alpha", ref_config,
-                         SweepAxis("alpha", 0.1, 0.9, 81))
+                         "alpha", 0.1, 0.9, 81)
         rows = run(exp).rows
         pops = [r["pop"] for r in rows]
         k = int(np.argmin(pops))
@@ -152,11 +151,11 @@ class TestRunners:
     def test_alpha_sweep_count_validated(self, ref_config):
         with pytest.raises(ValueError):
             run(Experiment("sweep-alpha", ref_config,
-                           SweepAxis("alpha", 0.1, 0.9, 1)))
+                           "alpha", 0.1, 0.9, 1))
 
     def test_compare_schemes(self, ref_config):
         exp = Experiment("compare", ref_config,
-                         SweepAxis("d2", 60.0, 200.0, 15))
+                         "d2", 60.0, 200.0, 15)
         table = run(exp)
         for row in table.rows:
             assert row["pop_opa"] <= row["pop_epa"] + 1e-14
@@ -173,11 +172,11 @@ class TestRunners:
     def test_compare_rejects_d2_below_d1(self, ref_config):
         with pytest.raises(ValueError):
             run(Experiment("compare", ref_config,
-                           SweepAxis("d2", 30.0, 100.0, 5)))
+                           "d2", 30.0, 100.0, 5))
 
     def test_validate_mc_runner(self, ref_config):
         exp = Experiment("validate-mc", ref_config,
-                         SweepAxis("alpha", 0.2, 0.8, 4),
+                         "alpha", 0.2, 0.8, 4,
                          mc=McConfig(trials=100_000, seed=11, chunk=50_000))
         table = run(exp)
         assert table.summary["flagged"] == 0
@@ -186,7 +185,7 @@ class TestRunners:
 
     def test_validate_mc_detects_corruption(self, monkeypatch, ref_config):
         exp = Experiment("validate-mc", ref_config,
-                         SweepAxis("alpha", 0.3, 0.7, 3),
+                         "alpha", 0.3, 0.7, 3,
                          mc=McConfig(trials=100_000, seed=11, chunk=50_000))
         monkeypatch.setattr(noma_pop.montecarlo, "pop_value",
                             lambda a, d: min(1.0, pop_value(a, d) + 0.05))
@@ -196,18 +195,18 @@ class TestRunners:
     def test_validate_mc_requires_mc(self, ref_config):
         with pytest.raises(ValueError):
             run(Experiment("validate-mc", ref_config,
-                           SweepAxis("alpha", 0.2, 0.8, 4)))
+                           "alpha", 0.2, 0.8, 4))
 
     def test_unknown_kind_rejected(self, ref_config):
         with pytest.raises(ValueError):
             Experiment("sweep-beta", ref_config,
-                       SweepAxis("beta", 0.0, 1.0, 5))
+                       "beta", 0.0, 1.0, 5)
 
 
 class TestOutput:
     def test_csv_deterministic(self, ref_config):
         exp = Experiment("validate-mc", ref_config,
-                         SweepAxis("alpha", 0.2, 0.8, 4),
+                         "alpha", 0.2, 0.8, 4,
                          mc=McConfig(trials=50_000, seed=2, chunk=25_000))
         a = render_csv(run(exp), ref_config, "validate-mc", mc=exp.mc)
         b = render_csv(run(exp), ref_config, "validate-mc", mc=exp.mc)
@@ -217,7 +216,7 @@ class TestOutput:
 
     def test_all_emitted_probabilities_in_range(self, ref_config):
         exp = Experiment("compare", ref_config,
-                         SweepAxis("d2", 60.0, 200.0, 8))
+                         "d2", 60.0, 200.0, 8)
         table = run(exp)
         for row in table.rows:
             for col in ("pop_opa", "pop_epa", "pop_fpa"):
@@ -279,7 +278,7 @@ class TestCli:
         assert captured.out == ""
 
     @pytest.mark.parametrize("owner, command", [
-        (harness, ["pop", "--alpha", "0.5", "--with-mc"]),
+        (noma_pop.montecarlo, ["pop", "--alpha", "0.5", "--with-mc"]),
         (noma_pop.montecarlo, ["validate-mc", "--count", "3"]),
     ])
     def test_memory_error_is_invalid_input(self, monkeypatch, capsys, owner,

@@ -257,10 +257,10 @@ class TestBreakpoints:
 
 
 class TestSystemConfig:
-    def test_reference_defaults(self, ref_config):
-        assert ref_config.rho_t == pytest.approx(1e6, rel=1e-12)
-        assert ref_config.lambda1 == pytest.approx(8e-6, rel=1e-12)
-        assert ref_config.lambda2 == pytest.approx(1e-6, rel=1e-12)
+    def test_reference_defaults(self, ref_derived):
+        assert ref_derived.rho_t == pytest.approx(1e6, rel=1e-12)
+        assert ref_derived.lambda1 == pytest.approx(8e-6, rel=1e-12)
+        assert ref_derived.lambda2 == pytest.approx(1e-6, rel=1e-12)
 
     def test_beta_range(self):
         with pytest.raises(ValueError):
@@ -278,7 +278,8 @@ class TestSystemConfig:
         cfg = SystemConfig(d1=100, d2=100, path_loss_constant=1,
                            path_loss_exponent=3, rho_t_db=60, beta=0.2,
                            r1_th=0.1, r2_th=0.1)
-        assert cfg.lambda1 == cfg.lambda2
+        derived = DerivedParams.from_config(cfg)
+        assert derived.lambda1 == derived.lambda2
 
     def test_threshold_rates_positive(self):
         with pytest.raises(ValueError):
@@ -324,4 +325,4 @@ class TestSystemConfig:
     def test_derived_params(self, ref_config, ref_derived):
         assert ref_derived.pi1 == sinr_threshold(ref_config.r1_th)
         assert ref_derived.lambda1 >= ref_derived.lambda2
-        assert ref_derived.rho_t == ref_config.rho_t
+        assert ref_derived.rho_t == db_to_linear(ref_config.rho_t_db)

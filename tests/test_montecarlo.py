@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from noma_pop import (
+    DerivedParams,
     McConfig,
     binomial_z,
     pop_estimate,
@@ -19,6 +20,7 @@ from noma_pop import (
 import noma_pop.montecarlo
 from noma_pop.montecarlo import (
     BLOCK,
+    check_point,
     chunk_rng,
     count_successes,
     point_seed,
@@ -173,6 +175,21 @@ class TestKernelMemory:
         assert max(peaks) < 2 * 2**20
         assert abs(peaks[0] - peaks[1]) <= 64 * 2**10
 
+    def test_chunk_within_one_block_builds_one_generator(self, monkeypatch,
+                                                          ref_config):
+        # chunks of 30,000, 30,000 and 10,001 trials: the first two span two
+        # blocks and take a second, advanced generator; the last fits in one
+        indices = []
+
+        def counted(seed, index):
+            indices.append(index)
+            return chunk_rng(seed, index)
+
+        monkeypatch.setattr(noma_pop.montecarlo, "chunk_rng", counted)
+        mc = McConfig(trials=70_001, seed=4, chunk=30_000)
+        count_successes(ref_config, 0.45, mc)
+        assert indices == [0, 0, 1, 1, 2]
+
 
 class TestZScore:
     def test_degenerate_agreement(self):
@@ -200,6 +217,14 @@ class TestValidate:
         rows = validate(ref_config, [0.5, 0.5], FAST_MC)
         assert rows[0].mc_pop != rows[1].mc_pop
         assert point_seed(FAST_MC.seed, 0) != point_seed(FAST_MC.seed, 1)
+
+    def test_rows_are_check_points_on_point_seeds(self, ref_config):
+        rows = validate(ref_config, [0.3, 0.6], FAST_MC)
+        derived = DerivedParams.from_config(ref_config)
+        assert rows == [check_point(
+            ref_config, a, pop_value(a, derived),
+            dataclasses.replace(FAST_MC, seed=point_seed(FAST_MC.seed, i)))
+            for i, a in enumerate([0.3, 0.6])]
 
     def test_empty_grid_rejected(self, ref_config):
         with pytest.raises(ValueError):

@@ -35,7 +35,7 @@ from noma_pop import (
 from noma_pop import montecarlo
 from noma_pop.harness import (
     EXIT_INVALID_INPUT, EXIT_NO_FEASIBLE_ALLOCATION, EXIT_OK,
-    EXIT_VALIDATION_FAILURE, SweepAxis, main)
+    EXIT_VALIDATION_FAILURE, Experiment, main)
 from noma_pop.montecarlo import chunk_rng, count_successes
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
@@ -130,9 +130,10 @@ def test_config_rejects_non_finite(config, name, bad):
        st.floats(min_value=-1e6, max_value=1e6),
        st.integers(min_value=2, max_value=50))
 def test_sweep_axis_rejects_non_finite(bound, bad, other, count):
-    axis = SweepAxis("d2", start=other, stop=other, count=count)
+    exp = Experiment("sweep-snr", reference_config(), "rho_t_db",
+                     start=other, stop=other, count=count)
     with pytest.raises(ValueError, match=f"sweep {bound} must be finite"):
-        dataclasses.replace(axis, **{bound: bad}).values()
+        dataclasses.replace(exp, **{bound: bad}).values()
 
 
 field_values = st.one_of(
