@@ -188,8 +188,8 @@ class Command:
     ``axes`` and the config fields each sets, the ``--var`` default ``var``
     if there are several, the default start/stop/count ``sweep``, a bound
     check (``reject``: failing test, error), and a ``runner`` of its own or,
-    for the loop in ``run``, ``fixed`` updates, ``echo`` fields, row
-    ``metrics`` (MC columns follow with ``--with-mc``) and ``footer``."""
+    for the loop in ``run``, ``echo`` fields, row ``metrics`` (MC columns
+    follow with ``--with-mc``) and ``footer``."""
 
     help: str
     flags: tuple[tuple[str, dict], ...] = ()
@@ -199,7 +199,6 @@ class Command:
     sweep: tuple[float, float, int] | None = None
     start_help: str | None = None
     reject: tuple[Callable[[Experiment], bool], str] | None = None
-    fixed: dict = field(default_factory=dict)
     echo: tuple[str, ...] = ()
     metrics: Callable[[SystemConfig], dict] | None = None
     footer: Callable[[list[dict]], dict] | None = None
@@ -236,8 +235,7 @@ COMMANDS = {
         flags=(("--with-mc", {"action": "store_true"}),)),
     "sweep-snr": Command(
         "POP versus transmit SNR", axes={"rho_t_db": ("rho_t_db",)},
-        sweep=(40.0, 80.0, 9), fixed={"pt_dbm": None, "noise_dbm": None},
-        echo=("rho_t_db",), metrics=_epa_metrics),
+        sweep=(40.0, 80.0, 9), echo=("rho_t_db",), metrics=_epa_metrics),
     "compare": Command(
         "optimal vs equal vs fixed allocation", axes={"d2": ("d2",)},
         sweep=(60.0, 200.0, 15),
@@ -263,7 +261,7 @@ def run(exp: Experiment) -> ResultTable:
     with_mc = exp.mc is not None and "--with-mc" in dict(spec.flags)
     rows = []
     for i, value in enumerate(exp.values()):
-        config = dataclasses.replace(exp.base, **spec.fixed,
+        config = dataclasses.replace(exp.base, pt_dbm=None, noise_dbm=None,
                                      **dict.fromkeys(fields, float(value)))
         row = {name: getattr(config, name) for name in spec.echo}
         row.update(spec.metrics(config))

@@ -202,12 +202,6 @@ class DerivedParams:
                                  f"[{1 / SCALE_LIMIT:g}, {SCALE_LIMIT:g}]")
         if self.lambda1 < self.lambda2:
             raise ValueError("near user must have the larger mean gain")
-        bp = self.breakpoints
-        # guaranteed by the algebra for beta <= 1; cheap sanity net
-        if self.beta < 1.0 and not (bp.alpha4 > bp.alpha1
-                                    and bp.alpha6 > bp.alpha3):
-            raise ValueError("breakpoint ordering violated: expected "
-                             "alpha4 > alpha1 and alpha6 > alpha3")
 
 
 class ZetaTuple(NamedTuple):

@@ -25,7 +25,6 @@ import numpy as np
 from .analytic import pop_value
 from .model import DerivedParams, SystemConfig, sinrs
 
-Z95 = 1.959963984540054  # two-sided 95% normal quantile
 BLOCK = 16_384  # trials per SINR slice; its temporaries stay in cache
 
 
@@ -46,12 +45,10 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Empirical outage fraction with binomial error bookkeeping."""
+    """Empirical outage fraction with its binomial standard error."""
 
     pop_hat: float
-    trials: int
     std_err: float  # sqrt(p_hat * (1 - p_hat) / trials)
-    ci95: tuple[float, float]
 
 
 def chunk_rng(seed: int, index: int) -> np.random.Generator:
@@ -124,14 +121,12 @@ def count_successes(config: SystemConfig, alpha: float, mc: McConfig) -> int:
 
 def pop_estimate(config: SystemConfig, alpha: float,
                  mc: McConfig) -> McEstimate:
-    """Empirical POP with standard error and a clipped 95% normal CI."""
+    """Empirical POP with its standard error."""
     successes = count_successes(config, alpha, mc)
     n = mc.trials
     p_hat = 1.0 - successes / n
     std_err = math.sqrt(p_hat * (1.0 - p_hat) / n)
-    half = Z95 * std_err
-    ci = (max(0.0, p_hat - half), min(1.0, p_hat + half))
-    return McEstimate(pop_hat=p_hat, trials=n, std_err=std_err, ci95=ci)
+    return McEstimate(pop_hat=p_hat, std_err=std_err)
 
 
 @dataclass(frozen=True)
@@ -173,7 +168,7 @@ def check_point(config: SystemConfig, alpha: float, analytic_pop: float,
     est = pop_estimate(config, alpha, mc)
     return ValidationRow(alpha=float(alpha), analytic_pop=analytic_pop,
                          mc_pop=est.pop_hat, std_err=est.std_err,
-                         z=binomial_z(est.pop_hat, analytic_pop, est.trials))
+                         z=binomial_z(est.pop_hat, analytic_pop, mc.trials))
 
 
 def validate(config: SystemConfig, alpha_grid: Sequence[float],

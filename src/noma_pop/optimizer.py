@@ -7,9 +7,9 @@ corner points where the monotone pieces end, plus the stationary points of
 the case-2 and case-3 pieces. Both pieces share one stationarity quadratic,
 with the case's residual factor and mean gains plugged in. ``candidate_set``
 builds the six candidates from one table and marks the feasible ones;
-``optimize`` returns their argmin. An exhaustive grid search, at
-``GRID_STEP`` unless told otherwise, is kept alongside as an independent
-oracle: ``optimize --check`` and the tests run it.
+``optimize`` returns their argmin. An exhaustive grid search at
+``GRID_STEP`` is kept alongside as an independent oracle:
+``optimize --check`` and the tests run it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .model import DerivedParams, SystemConfig
 # leading coefficient below this (relative to the others) treats the
 # quadratic as linear
 DEGENERATE_QUADRATIC_RTOL = 1e-12
-GRID_STEP = 1e-5  # default resolution of grid_oracle and grid_min_near
+GRID_STEP = 1e-5  # resolution of grid_oracle and grid_min_near
 
 
 class NoFeasibleAllocationError(RuntimeError):
@@ -128,11 +128,12 @@ def optimize(config: SystemConfig) -> tuple[float, float,
     derived = DerivedParams.from_config(config)
     candidates = candidate_set(derived)
     feasible = [c for c in candidates if c.feasible]
-    if not feasible:
+    product = derived.pi1 * derived.pi2
+    # no split escapes outage once pi1 * pi2 >= 1, whatever rounding leaves
+    if product >= 1.0 or not feasible:
         bp = derived.breakpoints
         detail = (f"alpha4={bp.alpha4:.6g} >= alpha3={bp.alpha3:.6g} "
-                  f"(pi1*pi2 = {derived.pi1 * derived.pi2:.6g} >= 1)"
-                  if bp.alpha4 >= bp.alpha3 else
+                  f"(pi1*pi2 = {product:.6g} >= 1)" if product >= 1.0 else
                   f"all case intervals empty at breakpoints {bp}")
         raise NoFeasibleAllocationError(
             f"every split in (0, 1) gives certain outage: {detail}")
@@ -140,32 +141,29 @@ def optimize(config: SystemConfig) -> tuple[float, float,
     return best.alpha, best.pop, candidates
 
 
-def grid_oracle(config: SystemConfig,
-                step: float = GRID_STEP) -> tuple[float, float]:
-    """Exhaustive POP minimization over the grid {step, 2*step, ...} in (0, 1).
+def grid_oracle(config: SystemConfig) -> tuple[float, float]:
+    """Exhaustive POP minimization over the multiples of GRID_STEP in (0, 1).
 
     Independent check of the closed-form search, run by ``optimize --check``
     and the tests; ``optimize`` itself never uses it. Ties break toward the
     smallest alpha.
     """
-    if not 0.0 < step <= 1e-3:
-        raise ValueError(f"step must lie in (0, 1e-3], got {step}")
     derived = DerivedParams.from_config(config)
-    ks = np.arange(1, math.ceil(1.0 / step))
-    alphas = ks * step
+    ks = np.arange(1, math.ceil(1.0 / GRID_STEP))
+    alphas = ks * GRID_STEP
     alphas = alphas[alphas < 1.0]
     values, _ = pop_curve(alphas, derived)
     idx = int(np.argmin(values))  # first minimum = smallest alpha
     return float(alphas[idx]), float(values[idx])
 
 
-def grid_min_near(config: SystemConfig, alpha: float, grid_pop: float,
-                  step: float = GRID_STEP) -> bool:
-    """Whether a ``grid_oracle`` grid point within ``step`` of ``alpha``
+def grid_min_near(config: SystemConfig, alpha: float,
+                  grid_pop: float) -> bool:
+    """Whether a ``grid_oracle`` grid point within one step of ``alpha``
     attains the grid minimum ``grid_pop``. Unlike the oracle's argmin, which
     breaks ties toward 0, this holds where POP is flat (saturated at 1)."""
-    k = round(alpha / step)
-    alphas = np.arange(max(k - 1, 1), k + 2) * step
-    alphas = alphas[(np.abs(alphas - alpha) <= step) & (alphas < 1.0)]
+    k = round(alpha / GRID_STEP)
+    alphas = np.arange(max(k - 1, 1), k + 2) * GRID_STEP
+    alphas = alphas[(np.abs(alphas - alpha) <= GRID_STEP) & (alphas < 1.0)]
     values, _ = pop_curve(alphas, DerivedParams.from_config(config))
     return bool(np.any(values == grid_pop))

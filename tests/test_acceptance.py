@@ -95,7 +95,7 @@ def test_criterion_3_optimizer_matches_grid_oracle():
     for _ in range(50):
         cfg = draw_config(rng)
         alpha_star, pop_star, _ = optimize(cfg)
-        g_alpha, g_pop = grid_oracle(cfg, step=1e-5)
+        g_alpha, g_pop = grid_oracle(cfg)
         gap = abs(alpha_star - g_alpha)
         worst_gap = max(worst_gap, gap)
         if gap > 1e-5 or pop_star > g_pop + 1e-10:

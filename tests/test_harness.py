@@ -255,6 +255,22 @@ class TestCli:
         code = main(["optimize", "--config", path])
         assert code == EXIT_NO_FEASIBLE_ALLOCATION
 
+    @pytest.mark.parametrize("text, command, code", [
+        # alpha4 == alpha1 on floats in these two valid configs
+        ("beta = 0.9999999999999999\n", ["pop"], EXIT_OK),
+        ("r1_th = 60\n", ["optimize"], EXIT_NO_FEASIBLE_ALLOCATION),
+        # pi1 * pi2 = 5.3e12, yet rounding leaves a case interval nonempty
+        ("beta = 1\nr1_th = 79.37353797048111\n"
+         "r2_th = 9.725079632043191e-12\n", ["optimize"],
+         EXIT_NO_FEASIBLE_ALLOCATION),
+    ], ids=["pop-beta-1-ulp", "optimize-r1-60", "optimize-sliver"])
+    def test_exit_code_follows_threshold_product(self, tmp_path, capsys,
+                                                 text, command, code):
+        path = write_config(tmp_path, text)
+        assert main(command + ["--config", path]) == code
+        err = capsys.readouterr().err
+        assert ("pi1*pi2" in err) == (code == EXIT_NO_FEASIBLE_ALLOCATION)
+
     def test_bad_config_key(self, tmp_path):
         path = write_config(tmp_path, "mystery = 1\n")
         assert main(["pop", "--config", path]) == EXIT_INVALID_INPUT

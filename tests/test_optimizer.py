@@ -19,7 +19,7 @@ from noma_pop import (
     stationary_roots,
 )
 from noma_pop.analytic import case_intervals, pop_curve
-from noma_pop.optimizer import grid_min_near
+from noma_pop.optimizer import GRID_STEP, grid_min_near
 
 from conftest import draw_config
 
@@ -205,7 +205,7 @@ class TestOptimize:
 
     def test_matches_grid_oracle_at_reference(self, ref_config):
         alpha_star, pop_star, _ = optimize(ref_config)
-        g_alpha, g_pop = grid_oracle(ref_config, step=1e-5)
+        g_alpha, g_pop = grid_oracle(ref_config)
         assert abs(alpha_star - g_alpha) <= 1e-5
         assert pop_star <= g_pop + 1e-10
 
@@ -241,7 +241,7 @@ class TestOptimize:
         for _ in range(50):
             cfg = draw_config(rng)
             alpha_star, pop_star, _ = optimize(cfg)
-            _, g_pop = grid_oracle(cfg, step=1e-5)
+            _, g_pop = grid_oracle(cfg)
             assert pop_star <= g_pop + 1e-10
 
     def test_no_feasible_allocation(self):
@@ -361,22 +361,11 @@ class TestPinnedCandidates:
 
 
 class TestGridOracle:
-    def test_step_validation(self, ref_config):
-        with pytest.raises(ValueError):
-            grid_oracle(ref_config, step=0.0)
-        with pytest.raises(ValueError):
-            grid_oracle(ref_config, step=0.01)
-
     def test_all_case5_returns_first_point(self):
         cfg = dataclasses.replace(reference_config(), r1_th=1.0, r2_th=1.0)
-        alpha, value = grid_oracle(cfg, step=1e-3)
+        alpha, value = grid_oracle(cfg)
         assert value == 1.0
-        assert alpha == pytest.approx(1e-3, rel=1e-12)
-
-    def test_refinement_never_increases_minimum(self, ref_config):
-        _, coarse = grid_oracle(ref_config, step=1e-4)
-        _, fine = grid_oracle(ref_config, step=1e-5)
-        assert fine <= coarse + 1e-15
+        assert alpha == pytest.approx(GRID_STEP, rel=1e-12)
 
     def test_min_near_matches_unique_argmin(self):
         rng = np.random.default_rng(31)
@@ -384,14 +373,14 @@ class TestGridOracle:
         checked = 0
         for _ in range(10):
             cfg = draw_config(rng)
-            g_alpha, g_pop = grid_oracle(cfg, step=1e-5)
+            g_alpha, g_pop = grid_oracle(cfg)
             values, _ = pop_curve(grid, DerivedParams.from_config(cfg))
             if np.count_nonzero(values == g_pop) != 1:
                 continue
             checked += 1
             for shift in np.arange(-4, 5) * 0.6e-5:
                 alpha = g_alpha + shift
-                assert grid_min_near(cfg, alpha, g_pop, step=1e-5) \
+                assert grid_min_near(cfg, alpha, g_pop) \
                     == (abs(alpha - g_alpha) <= 1e-5)
         assert checked >= 5
 
@@ -402,7 +391,7 @@ class TestGridOracle:
                                   rho_t_db=38.35, beta=0.453, r1_th=0.127,
                                   r2_th=0.206, pt_dbm=None, noise_dbm=None)
         alpha_star, pop_star, _ = optimize(cfg)
-        g_alpha, g_pop = grid_oracle(cfg, step=1e-5)
+        g_alpha, g_pop = grid_oracle(cfg)
         assert pop_star == g_pop == 1.0
         assert abs(alpha_star - g_alpha) > 0.3
-        assert grid_min_near(cfg, alpha_star, g_pop, step=1e-5)
+        assert grid_min_near(cfg, alpha_star, g_pop)

@@ -35,7 +35,7 @@ from noma_pop import (
 from noma_pop import montecarlo
 from noma_pop.harness import (
     EXIT_INVALID_INPUT, EXIT_NO_FEASIBLE_ALLOCATION, EXIT_OK,
-    EXIT_VALIDATION_FAILURE, Experiment, main)
+    EXIT_VALIDATION_FAILURE, Experiment, load_config, main)
 from noma_pop.montecarlo import chunk_rng, count_successes
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
@@ -47,17 +47,18 @@ non_finite = st.sampled_from([math.nan, math.inf, -math.inf])
 
 
 @st.composite
-def configs(draw):
-    """Parameter sets across beta in [0, 1] and 20-100 dB transmit SNR."""
+def configs(draw, rate=rates, beta=st.floats(min_value=0.0, max_value=1.0)):
+    """Parameter sets across 20-100 dB transmit SNR, with threshold rates
+    drawn from ``rate`` and beta from ``beta`` (all of [0, 1] by default)."""
     return SystemConfig(
         d1=50.0,
         d2=draw(st.floats(min_value=50.0, max_value=300.0)),
         path_loss_constant=1.0,
         path_loss_exponent=3.0,
         rho_t_db=draw(st.floats(min_value=20.0, max_value=100.0)),
-        beta=draw(st.floats(min_value=0.0, max_value=1.0)),
-        r1_th=draw(rates),
-        r2_th=draw(rates),
+        beta=draw(beta),
+        r1_th=draw(rate),
+        r2_th=draw(rate),
     )
 
 
@@ -115,6 +116,27 @@ def test_optimum_is_no_worse_than_a_coarse_grid(config):
     assert pop_star <= values.min() + 1e-10
 
 
+# rates log-uniform over 1e-12..100 b/s/Hz keep every derived value in
+# range; at beta = 1 - 2**-53 the breakpoints coincide on floats
+wide_configs = configs(
+    rate=st.floats(min_value=-12.0, max_value=2.0).map(lambda x: 10.0 ** x),
+    beta=st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                   st.just(1.0 - 2**-53)))
+
+
+@PROPERTY
+@given(wide_configs)
+def test_no_feasible_split_exactly_when_threshold_product_reaches_one(
+        config):
+    derived = DerivedParams.from_config(config)
+    if derived.pi1 * derived.pi2 >= 1.0:
+        with pytest.raises(NoFeasibleAllocationError):
+            optimize(config)
+    else:
+        alpha_star, _, _ = optimize(config)
+        assert 0.0 < alpha_star < 1.0
+
+
 FIELDS = [f.name for f in dataclasses.fields(SystemConfig)]
 
 
@@ -150,17 +172,24 @@ COMMANDS = (["pop"], ["optimize", "--check"], ["sweep-alpha", "--count", "3"])
 @given(st.dictionaries(st.sampled_from(FIELDS), field_values, max_size=4))
 def test_fuzzed_config_fails_cleanly_or_prints_finite_numbers(values):
     """A config file with up to four fuzzed fields either fails with one
-    ``error:`` line (invalid input, or no feasible split for ``optimize``)
-    or prints only finite numbers."""
+    ``error:`` line (invalid input, exactly when the derived parameters
+    reject it, or no feasible split for ``optimize``) or prints only finite
+    numbers."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.cfg"
         path.write_text("".join(f"{k} = {v!r}\n" for k, v in values.items()))
+        try:
+            DerivedParams.from_config(load_config(path))
+            invalid = False
+        except ValueError:
+            invalid = True
         for command in COMMANDS:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
                 code = main(command + ["--config", str(path)])
             lines = err.getvalue().splitlines()
+            assert (code == EXIT_INVALID_INPUT) == invalid, (command, lines)
             if code in (EXIT_INVALID_INPUT, EXIT_NO_FEASIBLE_ALLOCATION):
                 assert out.getvalue() == ""
                 assert len(lines) == 1 and lines[0].startswith("error: ")
