@@ -2,14 +2,15 @@
 
 POP is piecewise in alpha: strictly decreasing on the case-1 interval,
 strictly increasing on case 4, and possibly non-monotone on cases 2 and 3.
-The global minimizer therefore lives in a six-point candidate set: the two
-corner points where the monotone pieces end, plus the stationary points of
-the case-2 and case-3 pieces. Both pieces share one stationarity quadratic,
-with the case's residual factor and mean gains plugged in. ``candidate_set``
-builds the six candidates from one table and marks the feasible ones;
-``optimize`` returns their argmin. An exhaustive grid search at
-``GRID_STEP`` is kept alongside as an independent oracle:
-``optimize --check`` and the tests run it.
+The global minimizer therefore lives in the paper's six-point candidate set:
+the two corner points where the monotone pieces end, plus two stationary
+points each of the case-2 and case-3 pieces. Each piece's slope vanishes
+where its two binding exponent terms balance, D_a / D_b = +-r, and each sign
+has one closed-form root (``stationary_roots``). ``candidate_set`` builds
+the six candidates from one table and marks the feasible ones; ``optimize``
+returns their argmin. An exhaustive grid search at ``GRID_STEP`` is kept
+alongside as an independent oracle: ``optimize --check`` and the tests run
+it.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ import numpy as np
 from .analytic import Case, case_intervals, pop_curve, pop_value
 from .model import DerivedParams, SystemConfig
 
-# leading coefficient below this (relative to the others) treats the
-# quadratic as linear
-DEGENERATE_QUADRATIC_RTOL = 1e-12
 GRID_STEP = 1e-5  # resolution of grid_oracle and grid_min_near
 
 
@@ -32,49 +30,29 @@ class NoFeasibleAllocationError(RuntimeError):
     """No split in (0, 1) escapes certain outage for these parameters."""
 
 
-def _solve_quadratic(a: float, b: float, c: float) -> tuple[float, ...]:
-    """Real roots of a*x^2 + b*x + c, in (+discriminant, -discriminant) order.
-
-    Falls back to the linear root -c/b when the leading coefficient is
-    negligible next to the others; returns () when no real root exists.
-    """
-    if abs(a) <= DEGENERATE_QUADRATIC_RTOL * max(abs(b), abs(c)):
-        return () if b == 0.0 else (-c / b,)
-    disc = b * b - 4.0 * a * c
-    if disc < 0.0:
-        return ()
-    sq = math.sqrt(disc)
-    # cancellation-free evaluation of (-b +- sq) / (2a)
-    if b >= 0.0:
-        minus = (-b - sq) / (2.0 * a)
-        plus = c / (a * minus) if minus != 0.0 else (-b + sq) / (2.0 * a)
-    else:
-        plus = (-b + sq) / (2.0 * a)
-        minus = c / (a * plus) if plus != 0.0 else (-b - sq) / (2.0 * a)
-    return (plus, minus)
-
-
 def stationary_roots(derived: DerivedParams, case: Case) -> tuple[float, ...]:
-    """Stationary-point candidates of the case-2 or case-3 piece (0-2 roots).
+    """Stationary points (alpha_plus, alpha_minus) of the case-2 or case-3
+    piece; alpha_minus is left out where its denominator is 0.
 
-    The roots balance the slopes of the piece's two exponent terms: the pi1
-    term (zeta1 in case 2, zeta3 in case 3) on a gain of mean lam_a, and the
-    pi2 term (zeta4, zeta2) on a gain of mean lam_b. Both threshold
-    denominators carry the factor k: beta in case 2, 1 in case 3.
+    The piece's exponent is pi1 / (D_a rho lam_a) + pi2 / (D_b rho lam_b),
+    with D_a = alpha (1 + k pi1) - k pi1 and D_b = 1 - alpha (1 + k pi2): the
+    zeta1 and zeta4 terms with k = beta in case 2, zeta3 and zeta2 with
+    k = 1 in case 3. Its slope vanishes where D_a / D_b = +-r, with
+    r = sqrt(pi1 (1 + k pi1) lam_b / (pi2 (1 + k pi2) lam_a)). alpha_plus
+    is a positive-weight mediant of the zeros of D_a and D_b, so it lies
+    where both thresholds are finite; alpha_minus never does.
     """
     k, lam_a, lam_b = {
         Case.CASE2: (derived.beta, derived.lambda1, derived.lambda2),
         Case.CASE3: (1.0, derived.lambda2, derived.lambda1),
     }[case]
     pi1, pi2 = derived.pi1, derived.pi2
-    s_a = k * pi1 + 1.0
-    s_b = k * pi2 + 1.0
-    p = pi2 * lam_a * s_a * s_b
-    q = pi1 * lam_b * s_a * s_b
-    return _solve_quadratic(
-        p * s_a - q * s_b,
-        2.0 * (q - p * k * pi1),
-        pi1 ** 2 * pi2 * s_b * k ** 2 * lam_a - pi1 * s_a * lam_b)
+    s_a = 1.0 + k * pi1
+    s_b = 1.0 + k * pi2
+    r = math.sqrt(pi1 * s_a * lam_b / (pi2 * s_b * lam_a))
+    plus = (k * pi1 + r) / (s_a + r * s_b)
+    den = s_a - r * s_b
+    return (plus,) if den == 0.0 else (plus, (k * pi1 - r) / den)
 
 
 class Candidate(NamedTuple):
@@ -93,14 +71,17 @@ def candidate_set(derived: DerivedParams) -> tuple[Candidate, ...]:
 
     A corner ends a monotone piece (case 1 or 4) and counts where that
     piece's interval is nonempty; a stationary point counts only strictly
-    inside its case interval. Both must lie in (0, 1). POP is evaluated
+    inside its case interval. Both must lie in (0, 1). alpha_r1 (case 2) and
+    alpha_r3 (case 3) hold the alpha_plus roots, the only ones that can be
+    feasible; alpha_r2 and alpha_r4 hold alpha_minus, never feasible but
+    kept so the table lists the paper's six candidates. POP is evaluated
     through the full max-zeta form, never a fixed-case formula, so a corner
     sitting exactly on a boundary is valued consistently.
     """
     intervals = case_intervals(derived)
     bp = derived.breakpoints
-    r2 = stationary_roots(derived, Case.CASE2) + (None, None)
-    r3 = stationary_roots(derived, Case.CASE3) + (None, None)
+    r2 = stationary_roots(derived, Case.CASE2) + (None,)
+    r3 = stationary_roots(derived, Case.CASE3) + (None,)
     rows = (("alpha_c1", Case.CASE1, min(bp.alpha2, bp.alpha5)),
             ("alpha_r1", Case.CASE2, r2[0]),
             ("alpha_r2", Case.CASE2, r2[1]),

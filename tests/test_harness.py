@@ -263,7 +263,12 @@ class TestCli:
         ("beta = 1\nr1_th = 79.37353797048111\n"
          "r2_th = 9.725079632043191e-12\n", ["optimize"],
          EXIT_NO_FEASIBLE_ALLOCATION),
-    ], ids=["pop-beta-1-ulp", "optimize-r1-60", "optimize-sliver"])
+        # pi1 * pi2 = 1 - 4.0e-9: (alpha4, alpha3) is narrow, yet POP there
+        # reaches 1.05e-5
+        ("r1_th = 0.2010005802519678\nr2_th = 2.942828442025463\n"
+         "rho_t_db = 200\n", ["optimize"], EXIT_OK),
+    ], ids=["pop-beta-1-ulp", "optimize-r1-60", "optimize-sliver",
+            "optimize-near-one"])
     def test_exit_code_follows_threshold_product(self, tmp_path, capsys,
                                                  text, command, code):
         path = write_config(tmp_path, text)

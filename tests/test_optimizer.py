@@ -170,8 +170,9 @@ class TestQuadratics:
                 assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs))
 
     def test_degenerate_linear_symmetric(self):
-        # equal distances and equal thresholds make the quadratic linear, so
-        # each case has a single stationary point: the midpoint split
+        # equal distances and equal thresholds zero alpha_minus's
+        # denominator, so each case has a single stationary point: the
+        # midpoint split
         cfg = SystemConfig(d1=100.0, d2=100.0, path_loss_constant=1.0,
                            path_loss_exponent=3.0, rho_t_db=60.0, beta=0.2,
                            r1_th=0.1, r2_th=0.1)
@@ -181,16 +182,21 @@ class TestQuadratics:
         assert r2 == pytest.approx(0.5, rel=1e-14)
         assert r3 == pytest.approx(0.5, rel=1e-14)
 
-    def test_solver_edge_cases(self):
-        # the physical quadratics always factor into two real linear forms,
-        # so the no-root and double-degenerate branches are contract-only
-        from noma_pop.optimizer import _solve_quadratic
-        assert _solve_quadratic(1.0, 0.0, 1.0) == ()
-        assert _solve_quadratic(0.0, 2.0, -1.0) == (0.5,)
-        assert _solve_quadratic(0.0, 0.0, 1.0) == ()
-        # stable formula reproduces both roots of (x-1)(x-3)
-        roots = _solve_quadratic(1.0, -4.0, 3.0)
-        assert sorted(roots) == pytest.approx([1.0, 3.0], rel=1e-14)
+    def test_candidate_row_order(self):
+        # alpha_r1/alpha_r3 hold alpha_plus, where both thresholds of the
+        # piece are finite; alpha_r2/alpha_r4 hold alpha_minus, which never is
+        rng = np.random.default_rng(38)
+        for _ in range(200):
+            d = DerivedParams.from_config(draw_config(rng, beta_max=1.0))
+            bp = d.breakpoints
+            rows = {c.name: c for c in candidate_set(d)}
+            assert bp.alpha1 <= rows["alpha_r1"].alpha <= bp.alpha6
+            assert bp.alpha4 <= rows["alpha_r3"].alpha <= bp.alpha3
+            for name, lo, hi in (("alpha_r2", bp.alpha1, bp.alpha6),
+                                 ("alpha_r4", bp.alpha4, bp.alpha3)):
+                alpha = rows[name].alpha
+                assert not rows[name].feasible
+                assert alpha is None or not lo < alpha < hi
 
 
 class TestOptimize:
@@ -263,28 +269,28 @@ class TestOptimize:
 
 # per config of ``pinned_config``: the candidate rows (name, case,
 # repr(alpha), feasible, repr(pop)) and the optimum (repr(alpha_star),
-# repr(pop_star)), recorded from the earlier class-based candidate set and
-# compared exactly
+# repr(pop_star)), recorded from the closed-form stationary points
+# D_a / D_b = +-r and compared exactly
 PINNED = {
     "beta0": ((
         ("alpha_c1", "Case1", "0.48267825516781476", 1, "0.16446036698842423"),
         ("alpha_r1", "Case2", "0.2612038749637415", 0, "None"),
         ("alpha_r2", "Case2", "-0.5469181606780271", 0, "None"),
-        ("alpha_r3", "Case3", "0.7068132007836971", 0, "None"),
-        ("alpha_r4", "Case3", "1.4067002060252363", 0, "None"),
+        ("alpha_r3", "Case3", "0.706813200783697", 0, "None"),
+        ("alpha_r4", "Case3", "1.406700206025236", 0, "None"),
         ("alpha_c2", "Case4", "0.5173217448321852", 1, "0.15535142877564673"),
     ), ("0.5173217448321852", "0.15535142877564673")),
     "beta1": ((
         ("alpha_c1", "Case1", "0.5", 1, "0.15968397662611244"),
-        ("alpha_r1", "Case2", "0.29318679921630286", 0, "None"),
-        ("alpha_r2", "Case2", "-0.40670020602523627", 0, "None"),
-        ("alpha_r3", "Case3", "0.7068132007836971", 0, "None"),
-        ("alpha_r4", "Case3", "1.4067002060252363", 0, "None"),
+        ("alpha_r1", "Case2", "0.2931867992163029", 0, "None"),
+        ("alpha_r2", "Case2", "-0.4067002060252363", 0, "None"),
+        ("alpha_r3", "Case3", "0.706813200783697", 0, "None"),
+        ("alpha_r4", "Case3", "1.406700206025236", 0, "None"),
         ("alpha_c2", "Case4", "0.5", 1, "0.15968397662611244"),
     ), ("0.5", "0.15968397662611244")),
     "equal_distances": ((
         ("alpha_c1", "Case1", "0.4862379571719466", 1, "0.03796139263386752"),
-        ("alpha_r1", "Case2", "0.5000000000000001", 0, "None"),
+        ("alpha_r1", "Case2", "0.5", 0, "None"),
         ("alpha_r2", "Case2", "None", 0, "None"),
         ("alpha_r3", "Case3", "0.5", 1, "0.03792378780539485"),
         ("alpha_r4", "Case3", "None", 0, "None"),
@@ -292,24 +298,24 @@ PINNED = {
     ), ("0.5", "0.03792378780539485")),
     "case3_root": ((
         ("alpha_c1", "Case1", "0.565247002416826", 1, "0.148219923896924"),
-        ("alpha_r1", "Case2", "0.49355286789910613", 0, "None"),
-        ("alpha_r2", "Case2", "-14.726636915129651", 0, "None"),
-        ("alpha_r3", "Case3", "0.6062161031562482", 1, "0.1462561550715672"),
-        ("alpha_r4", "Case3", "2.041533640468968", 0, "None"),
+        ("alpha_r1", "Case2", "0.493552867899106", 0, "None"),
+        ("alpha_r2", "Case2", "-14.726636915129637", 0, "None"),
+        ("alpha_r3", "Case3", "0.606216103156248", 1, "0.1462561550715672"),
+        ("alpha_r4", "Case3", "2.0415336404689683", 0, "None"),
         ("alpha_c2", "Case4", "0.6305460691953734", 1, "0.14700776390445933"),
-    ), ("0.6062161031562482", "0.1462561550715672")),
+    ), ("0.606216103156248", "0.1462561550715672")),
     "case2_root": ((
         ("alpha_c1", "Case1", "0.3505168033422431", 1, "0.5612947963815639"),
-        ("alpha_r1", "Case2", "0.4058084414459282", 1, "0.43284736797000767"),
-        ("alpha_r2", "Case2", "-0.08612595740775107", 0, "None"),
-        ("alpha_r3", "Case3", "0.45406413701707676", 0, "None"),
-        ("alpha_r4", "Case3", "10.60774837468988", 0, "None"),
+        ("alpha_r1", "Case2", "0.4058084414459283", 1, "0.4328473679700078"),
+        ("alpha_r2", "Case2", "-0.08612595740775109", 0, "None"),
+        ("alpha_r3", "Case3", "0.4540641370170767", 0, "None"),
+        ("alpha_r4", "Case3", "10.607748374689832", 0, "None"),
         ("alpha_c2", "Case4", "0.4531807981213548", 1, "0.4863447847509911"),
     ), None),
     "no_feasible": ((
         ("alpha_c1", "Case1", "0.37499999999999994", 0, "None"),
-        ("alpha_r1", "Case2", "0.340802583309161", 0, "None"),
-        ("alpha_r2", "Case2", "-0.19794544045201806", 0, "None"),
+        ("alpha_r1", "Case2", "0.34080258330916097", 0, "None"),
+        ("alpha_r2", "Case2", "-0.19794544045201815", 0, "None"),
         ("alpha_r3", "Case3", "0.5", 0, "None"),
         ("alpha_r4", "Case3", "0.5", 0, "None"),
         ("alpha_c2", "Case4", "0.625", 0, "None"),

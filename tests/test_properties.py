@@ -137,6 +137,28 @@ def test_no_feasible_split_exactly_when_threshold_product_reaches_one(
         assert 0.0 < alpha_star < 1.0
 
 
+@st.composite
+def near_one_configs(draw):
+    """Configs with pi1 * pi2 = 1 - eps, eps log-uniform over 1e-12..1e-8,
+    at 150-300 dB: the case-3 interval (alpha4, alpha3) is nonempty but
+    narrow."""
+    config = draw(configs())
+    eps = 10.0 ** draw(st.floats(min_value=-12.0, max_value=-8.0))
+    pi1 = 2.0 ** config.r1_th - 1.0
+    return dataclasses.replace(
+        config, r2_th=math.log2(1.0 + (1.0 - eps) / pi1),
+        rho_t_db=draw(st.floats(min_value=150.0, max_value=300.0)))
+
+
+@PROPERTY
+@given(near_one_configs())
+def test_optimum_exists_just_below_threshold_product_one(config):
+    derived = DerivedParams.from_config(config)
+    assert derived.pi1 * derived.pi2 < 1.0
+    alpha_star, _, _ = optimize(config)
+    assert 0.0 < alpha_star < 1.0
+
+
 FIELDS = [f.name for f in dataclasses.fields(SystemConfig)]
 
 
