@@ -176,7 +176,7 @@ def _optimize_body(args: argparse.Namespace, config: SystemConfig,
         summary.update(grid_alpha=grid_alpha, grid_pop=grid_pop)
         summary["check_ok"] = int(
             grid_min_near(config, alpha_star, grid_pop)
-            and pop_star <= grid_pop + 1e-10)
+            and pop_star <= grid_pop * (1.0 + 8.0 * sys.float_info.epsilon))
     return ResultTable(rows, summary)
 
 

@@ -28,6 +28,30 @@ from noma_pop.harness import (
 )
 
 FAST = ["--trials", "50000", "--chunk", "25000", "--seed", "7"]
+# runs the CLI as the console script does, then writes its lane pids to
+# argv[1]; with argv[2] == "serial" it keeps to one CPU, so it starts none
+LANE_RUN = """
+import os, sys
+from noma_pop import montecarlo
+from noma_pop.harness import main
+if sys.argv[2] == "serial":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+code = main(sys.argv[3:])
+with open(sys.argv[1], "w") as f:
+    f.write(" ".join(str(lane.pid) for lane in montecarlo._lanes))
+sys.exit(code)
+"""
+# `validate-mc --count 3` rows and footer at the defaults (1e6 trials)
+VALIDATE_MC_3 = [
+    "0.1,0.8811987872438518,0.881147,0.00032361545758971403,"
+    "-0.1600572739338293",
+    "0.5,0.15968397662611244,0.159794,0.00036641489811960426,"
+    "0.30035368625178505",
+    "0.9,0.659597532961015,0.66032,0.0004736005675672275,"
+    "1.5246921957814032",
+    "# max_abs_z=1.5246921957814032",
+    "# flagged=0",
+]
 
 
 def write_config(tmp_path, text: str):
@@ -322,6 +346,32 @@ class TestCli:
         assert main(["pop", "--alpha", "0.5"]) == EXIT_OK
         assert proc.stdout == capsys.readouterr().out
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="lanes run only where the affinity is known")
+    def test_validate_mc_lanes_exit_clean_with_serial_bytes(self, tmp_path):
+        src = Path(noma_pop.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        runs = []
+        for i, mode in enumerate(("lanes", "lanes", "serial")):
+            pid_file = tmp_path / f"lanes-{i}"
+            proc = subprocess.run(
+                [sys.executable, "-c", LANE_RUN, str(pid_file), mode,
+                 "validate-mc", "--count", "3"],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == EXIT_OK, proc.stderr
+            assert proc.stderr == ""
+            runs.append((proc.stdout,
+                         [int(p) for p in pid_file.read_text().split()]))
+        # the default 1e6 trials are 4 chunks: one per lane, up to 4 lanes
+        lanes = min(len(os.sched_getaffinity(0)), 4) - 1
+        assert [len(pids) for _, pids in runs] == [lanes, lanes, 0]
+        assert runs[0][0] == runs[1][0] == runs[2][0]
+        assert runs[0][0].splitlines()[2:] == VALIDATE_MC_3
+        for _, pids in runs:
+            for pid in pids:
+                with pytest.raises(ProcessLookupError):
+                    os.kill(pid, 0)
+
     def test_import_does_not_run_the_cli(self):
         assert "noma_pop.__main__" not in sys.modules
 
@@ -415,6 +465,22 @@ class TestOptimizeCheck:
         assert captured.err == ("validation failure: closed-form optimum "
                                 "disagrees with the grid search\n")
 
+
+    def test_value_above_grid_minimum_fails_at_high_snr(self, tmp_path,
+                                                         monkeypatch, capsys):
+        # at 200 dB POP* is ~1e-15, so an absolute slack of 1e-10 would pass
+        # an optimum 1% above the grid minimum
+        path = write_config(tmp_path, "rho_t_db = 200\n")
+        real = harness.optimize
+
+        def inflated(config):
+            alpha_star, pop_star, candidates = real(config)
+            return alpha_star, pop_star * 1.01, candidates
+
+        monkeypatch.setattr(harness, "optimize", inflated)
+        code = main(["optimize", "--check", "--config", path])
+        assert code == EXIT_VALIDATION_FAILURE
+        assert capsys.readouterr().out.endswith("# check_ok=0\n")
 
 COMMON = [("config", None), ("out", None), ("format", "csv"), ("seed", 12345),
           ("trials", 1000000), ("chunk", 250000)]

@@ -1,7 +1,11 @@
 """Tests for the seeded Monte Carlo estimator."""
 
+import contextlib
 import dataclasses
 import math
+import os
+import signal
+import threading
 import tracemalloc
 
 import numpy as np
@@ -20,6 +24,9 @@ from noma_pop import (
 import noma_pop.montecarlo
 from noma_pop.montecarlo import (
     BLOCK,
+    MIN_PARALLEL_TRIALS,
+    _chunk_sizes,
+    _count_chunks,
     check_point,
     chunk_rng,
     count_successes,
@@ -183,6 +190,230 @@ class TestKernelMemory:
         mc = McConfig(trials=70_001, seed=4, chunk=30_000)
         count_successes(ref_config, 0.45, mc)
         assert indices == [0, 0, 1, 1, 2]
+
+
+PINNED_LANES = (0.2, McConfig(trials=500_000, seed=21, chunk=250_000), 288002)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block if it runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def lane_pids():
+    return [lane.pid for lane in noma_pop.montecarlo._lanes]
+
+
+def is_gone(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    return False
+
+
+def spy_on_fork(monkeypatch):
+    """Calls of ``os.fork`` from now on, each of which fails the test."""
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.fixture
+def fresh_lanes(monkeypatch):
+    """No lanes before or after the test; ``cpus(n)`` fakes the affinity."""
+    noma_pop.montecarlo._drop_lanes()
+
+    def cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(n)))
+
+    yield cpus
+    noma_pop.montecarlo._drop_lanes()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="lanes run on Linux only")
+class TestLanes:
+    @pytest.mark.parametrize("cpus, trials, chunk", [
+        (2, 700_001, 250_000),
+        (2, 500_000, 250_000),
+        (4, 500_000, 250_000),
+        (4, 500_001, 100_000),
+        (4, 1_000_000, 125_000),
+    ], ids=["remainder", "two_chunks", "fewer_chunks_than_lanes",
+            "not_a_multiple_of_lanes", "four_lanes"])
+    def test_lanes_count_what_one_lane_counts(self, fresh_lanes, ref_config,
+                                              cpus, trials, chunk):
+        fresh_lanes(cpus)
+        mc = McConfig(trials=trials, seed=17, chunk=chunk)
+        chunks = list(enumerate(_chunk_sizes(trials, chunk)))
+        serial = _count_chunks(DerivedParams.from_config(ref_config), 0.45,
+                               mc.seed, min(BLOCK, chunk), chunks)
+        with deadline(60):
+            assert count_successes(ref_config, 0.45, mc) == serial
+        assert len(lane_pids()) == min(cpus, len(chunks)) - 1
+
+    @pytest.mark.parametrize("cpus, trials, chunk", [
+        (1, 1_000_000, 250_000),
+        (2, MIN_PARALLEL_TRIALS - 1, 100_000),
+        (2, 1_000_000, 1_000_000),
+    ], ids=["one_cpu", "below_threshold", "one_chunk"])
+    def test_serial_calls_never_fork(self, fresh_lanes, monkeypatch,
+                                     ref_config, cpus, trials, chunk):
+        fresh_lanes(cpus)
+        forks = spy_on_fork(monkeypatch)
+        mc = McConfig(trials=trials, seed=5, chunk=chunk)
+        count_successes(ref_config, 0.5, mc)
+        assert forks == [] and lane_pids() == []
+
+    def test_other_threads_keep_the_call_serial(self, fresh_lanes,
+                                                monkeypatch, ref_config):
+        fresh_lanes(2)
+        forks = spy_on_fork(monkeypatch)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait, args=(60,))
+        other.start()
+        try:
+            alpha, mc, want = PINNED_LANES
+            assert count_successes(ref_config, alpha, mc) == want
+        finally:
+            stop.set()
+            other.join(timeout=60)
+        assert not other.is_alive()
+        assert forks == [] and lane_pids() == []
+
+    def test_failed_fork_counts_serially_and_closes_its_pipes(
+            self, fresh_lanes, monkeypatch, ref_config):
+        fresh_lanes(2)
+
+        def fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fork)
+        fds = len(os.listdir("/proc/self/fd"))
+        alpha, mc, want = PINNED_LANES
+        assert count_successes(ref_config, alpha, mc) == want
+        assert lane_pids() == []
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+    @pytest.mark.parametrize("exc", [MemoryError, KeyboardInterrupt])
+    def test_caller_failure_discards_lanes_in_flight(self, fresh_lanes,
+                                                     monkeypatch, ref_config,
+                                                     exc):
+        fresh_lanes(2)
+        alpha, mc, want = PINNED_LANES
+        assert count_successes(ref_config, alpha, mc) == want
+        (pid,) = lane_pids()
+        sinrs = noma_pop.montecarlo.sinrs
+        raised = []
+
+        def fails_once(*args, **kwargs):
+            if not raised:
+                raised.append(1)
+                raise exc
+            return sinrs(*args, **kwargs)
+
+        monkeypatch.setattr(noma_pop.montecarlo, "sinrs", fails_once)
+        # another seed, so that a stale lane reply would change the count
+        with deadline(60), pytest.raises(exc):
+            count_successes(ref_config, alpha,
+                            dataclasses.replace(mc, seed=22))
+        assert lane_pids() == [] and is_gone(pid)
+        with deadline(60):
+            assert count_successes(ref_config, alpha, mc) == want
+
+    def test_dead_lane_raises_and_is_replaced(self, fresh_lanes, ref_config):
+        fresh_lanes(2)
+        alpha, mc, want = PINNED_LANES
+        assert count_successes(ref_config, alpha, mc) == want
+        (pid,) = lane_pids()
+        os.kill(pid, signal.SIGKILL)
+        with deadline(60), pytest.raises(RuntimeError, match="lane"):
+            count_successes(ref_config, alpha, mc)
+        assert lane_pids() == [] and is_gone(pid)
+        with deadline(60):
+            assert count_successes(ref_config, alpha, mc) == want
+        assert lane_pids() != [pid]
+
+    def test_lane_exception_is_raised_in_the_caller(self, fresh_lanes,
+                                                    monkeypatch, ref_config):
+        fresh_lanes(2)
+        owner, sinrs = os.getpid(), noma_pop.montecarlo.sinrs
+
+        def fails_in_lane(*args, **kwargs):
+            if os.getpid() != owner:
+                raise ValueError("raised in a lane")
+            return sinrs(*args, **kwargs)
+
+        # patched before the lanes fork, so the lanes run it too
+        monkeypatch.setattr(noma_pop.montecarlo, "sinrs", fails_in_lane)
+        alpha, mc, _ = PINNED_LANES
+        for _ in range(2):  # the lanes stay in step after a lane error
+            with deadline(60), pytest.raises(ValueError,
+                                             match="raised in a lane"):
+                count_successes(ref_config, alpha, mc)
+            assert len(lane_pids()) == 1
+
+    def test_lanes_ignore_sigint(self, fresh_lanes, ref_config):
+        fresh_lanes(2)
+        alpha, mc, want = PINNED_LANES
+        assert count_successes(ref_config, alpha, mc) == want
+        pids = lane_pids()
+        os.kill(pids[0], signal.SIGINT)
+        with deadline(60):
+            assert count_successes(ref_config, alpha, mc) == want
+        assert lane_pids() == pids
+
+    def test_lane_exits_once_its_request_pipe_closes(self, fresh_lanes,
+                                                     ref_config):
+        fresh_lanes(4)
+        mc = McConfig(trials=1_000_000, seed=17, chunk=250_000)
+        count_successes(ref_config, 0.45, mc)
+        first = noma_pop.montecarlo._lanes[0]
+        # as at the owner's exit; the later lanes, forked while this end was
+        # open in the owner, must not hold it open
+        first.requests.close()
+        with deadline(60):
+            _, status = os.waitpid(first.pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_forked_child_starts_its_own_lanes(self, fresh_lanes,
+                                               ref_config):
+        fresh_lanes(2)
+        alpha, mc, want = PINNED_LANES
+        assert count_successes(ref_config, alpha, mc) == want
+        pids = lane_pids()
+        child = os.fork()
+        if child == 0:
+            code = 2
+            try:
+                ok = count_successes(ref_config, alpha, mc) == want
+                own = lane_pids()
+                noma_pop.montecarlo._drop_lanes()
+                code = 0 if ok and len(own) == 1 and own != pids else 1
+            finally:
+                os._exit(code)
+        with deadline(60):
+            _, status = os.waitpid(child, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert count_successes(ref_config, alpha, mc) == want
+        assert lane_pids() == pids
 
 
 class TestZScore:
