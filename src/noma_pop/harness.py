@@ -60,6 +60,8 @@ class Experiment:
             raise ValueError(f"{self.kind} cannot sweep {self.axis!r}")
         if spec.reject and spec.reject[0](self):
             raise ValueError(spec.reject[1])
+        if self.mc is not None and MC_FLAGS[0] not in spec.flags:
+            raise ValueError(f"{self.kind} draws no Monte Carlo")
 
     def values(self) -> np.ndarray:
         for bound, value in (("start", self.start), ("stop", self.stop)):
@@ -69,6 +71,8 @@ class Experiment:
             raise ValueError(f"sweep count must be >= 2, got {self.count}")
         if not self.start <= self.stop:
             raise ValueError("sweep start must not exceed stop")
+        if not math.isfinite(self.stop - self.start):
+            raise ValueError("sweep span stop - start must be finite")
         return np.linspace(self.start, self.stop, self.count)
 
 
@@ -183,13 +187,14 @@ def _optimize_body(args: argparse.Namespace, config: SystemConfig,
 @dataclass(frozen=True)
 class Command:
     """One subcommand: ``help``, extra ``flags`` (name, ``add_argument``
-    keywords) and, for ``pop`` and ``optimize``, a ``body`` building the
-    table from the parsed arguments. A sweep runs as an ``Experiment``:
-    ``axes`` and the config fields each sets, the ``--var`` default ``var``
-    if there are several, the default start/stop/count ``sweep``, a bound
-    check (``reject``: failing test, error), and a ``runner`` of its own or,
-    for the loop in ``run``, ``echo`` fields, row ``metrics`` (MC columns
-    follow with ``--with-mc``) and ``footer``."""
+    keywords; ``MC_FLAGS`` last where it draws Monte Carlo) and, for ``pop``
+    and ``optimize``, a ``body`` building the table from the parsed
+    arguments. A sweep runs as an ``Experiment``: ``axes`` and the config
+    fields each sets, the ``--var`` default ``var`` if there are several,
+    the default start/stop/count ``sweep``, a bound check (``reject``:
+    failing test, error), and a ``runner`` of its own or, for the loop in
+    ``run``, ``echo`` fields, row ``metrics`` (MC columns follow with
+    ``--with-mc``) and ``footer``."""
 
     help: str
     flags: tuple[tuple[str, dict], ...] = ()
@@ -209,12 +214,23 @@ def _outside_unit_interval(exp: Experiment) -> bool:
     return not (0.0 < exp.start and exp.stop < 1.0)
 
 
+# the Monte Carlo options, on the subcommands that draw Monte Carlo only
+MC_FLAGS = (
+    ("--seed", {"type": int, "default": McConfig().seed,
+                "help": "Monte Carlo seed"}),
+    ("--trials", {"type": int, "default": McConfig().trials,
+                  "help": "Monte Carlo trials per point"}),
+    ("--chunk", {"type": int, "default": McConfig().chunk,
+                 "help": "trials per deterministic substream"}),
+)
+
 COMMANDS = {
     "pop": Command(
         "evaluate POP at one split", body=_pop_body,
         flags=(("--alpha", {"type": float, "default": EPA_ALPHA}),
                ("--with-mc", {"action": "store_true", "help":
-                              "cross-check with the Monte Carlo estimator"}))),
+                              "cross-check with the Monte Carlo estimator"}))
+        + MC_FLAGS),
     "optimize": Command(
         "closed-form optimal split", body=_optimize_body,
         flags=(("--check", {"action": "store_true", "help": "cross-check the "
@@ -232,7 +248,7 @@ COMMANDS = {
         reject=(lambda exp: exp.start <= 0,
                 "threshold rates must be positive"),
         echo=("r1_th", "r2_th", "rho_t_db"), metrics=_epa_metrics,
-        flags=(("--with-mc", {"action": "store_true"}),)),
+        flags=(("--with-mc", {"action": "store_true"}),) + MC_FLAGS),
     "sweep-snr": Command(
         "POP versus transmit SNR", axes={"rho_t_db": ("rho_t_db",)},
         sweep=(40.0, 80.0, 9), echo=("rho_t_db",), metrics=_epa_metrics),
@@ -247,8 +263,7 @@ COMMANDS = {
         "Monte Carlo validation of the closed form", axes={"alpha": ()},
         sweep=(0.1, 0.9, 25),
         reject=(_outside_unit_interval, "alpha grid must lie inside (0, 1)"),
-        # by name at call time, so a wrapper on run_validate_mc sees it
-        runner=lambda exp: run_validate_mc(exp)),
+        flags=MC_FLAGS, runner=run_validate_mc),
 }
 
 
@@ -258,14 +273,13 @@ def run(exp: Experiment) -> ResultTable:
     if spec.runner is not None:
         return spec.runner(exp)
     fields = spec.axes[exp.axis]
-    with_mc = exp.mc is not None and "--with-mc" in dict(spec.flags)
     rows = []
     for i, value in enumerate(exp.values()):
         config = dataclasses.replace(exp.base, pt_dbm=None, noise_dbm=None,
                                      **dict.fromkeys(fields, float(value)))
         row = {name: getattr(config, name) for name in spec.echo}
         row.update(spec.metrics(config))
-        if with_mc:
+        if exp.mc is not None:
             mc = dataclasses.replace(exp.mc, seed=point_seed(exp.mc.seed, i))
             check = check_point(config, EPA_ALPHA, row["pop"], mc)
             row.update(mc_pop=check.mc_pop, std_err=check.std_err, z=check.z)
@@ -363,12 +377,6 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", metavar="PATH",
                         help="output file (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
-    parser.add_argument("--seed", type=int, default=McConfig().seed,
-                        help="Monte Carlo seed")
-    parser.add_argument("--trials", type=int, default=McConfig().trials,
-                        help="Monte Carlo trials per point")
-    parser.add_argument("--chunk", type=int, default=McConfig().chunk,
-                        help="trials per deterministic substream")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -396,9 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _dispatch(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else reference_config()
-    mc = McConfig(trials=args.trials, seed=args.seed, chunk=args.chunk)
-    if not (args.command == "validate-mc" or getattr(args, "with_mc", False)):
-        mc = None  # validate-mc always draws MC, the others on --with-mc
+    mc = (McConfig(trials=args.trials, seed=args.seed, chunk=args.chunk)
+          if "trials" in args else None)  # checked also without --with-mc
+    if not getattr(args, "with_mc", True):
+        mc = None
     cmd = COMMANDS[args.command]
     if cmd.body is not None:
         table = cmd.body(args, config, mc)

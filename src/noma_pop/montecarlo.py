@@ -36,6 +36,7 @@ import contextlib
 import math
 import os
 import pickle
+import sys
 import threading
 from dataclasses import dataclass, replace
 from typing import BinaryIO, Sequence
@@ -60,6 +61,9 @@ class McConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.trials > sys.maxsize:  # more chunks than a list can index
+            raise ValueError(f"trials must be <= {sys.maxsize}, "
+                             f"got {self.trials}")
         if self.chunk < 1:
             raise ValueError(f"chunk must be >= 1, got {self.chunk}")
 
@@ -223,7 +227,7 @@ def _fork_lane(siblings: Sequence[_Lane]) -> _Lane:
 def _drop_lanes() -> None:
     """Kill and reap this process's lanes; forget lanes inherited by fork.
 
-    Runs at exit, and whenever a call fails with requests in flight, whose
+    Runs at exit, and whenever a call fails: requests may be in flight, whose
     replies would otherwise pair with the next call's requests.
     """
     import signal
@@ -281,9 +285,7 @@ def count_successes(config: SystemConfig, alpha: float, mc: McConfig) -> int:
     block = min(BLOCK, mc.chunk, mc.trials)
     chunks = list(enumerate(_chunk_sizes(mc.trials, mc.chunk)))
     lanes = _lanes_for(mc.trials, len(chunks))
-    if not lanes:
-        return _count_chunks(d, alpha, mc.seed, block, chunks)
-    n = len(lanes) + 1
+    n = len(lanes) + 1  # with no lanes, the caller counts every chunk
     try:
         for i, lane in enumerate(lanes, 1):
             lane.send((d, alpha, mc.seed, block, chunks[i::n]))

@@ -221,6 +221,11 @@ class TestRunners:
             run(Experiment("validate-mc", ref_config,
                            "alpha", 0.2, 0.8, 4))
 
+    def test_mc_rejected_where_none_is_drawn(self, ref_config):
+        with pytest.raises(ValueError, match="draws no Monte Carlo"):
+            Experiment("sweep-snr", ref_config, "rho_t_db", 40.0, 80.0, 9,
+                       mc=McConfig())
+
     def test_unknown_kind_rejected(self, ref_config):
         with pytest.raises(ValueError):
             Experiment("sweep-beta", ref_config,
@@ -425,12 +430,15 @@ class TestCli:
 
 class TestSweepBounds:
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("bound", [["--stop", "inf"], ["--start", "nan"]])
+    # the last: both bounds finite, stop - start is not
+    @pytest.mark.parametrize("bound", [["--stop", "inf"], ["--start", "nan"],
+                                       ["--start=-1e308", "--stop", "1e308"]])
     @pytest.mark.parametrize("command", ["sweep-alpha", "sweep-threshold",
                                          "sweep-snr", "compare",
                                          "validate-mc"])
     def test_cli_rejects_non_finite_bound(self, capsys, command, bound):
-        assert main([command] + bound + FAST) == EXIT_INVALID_INPUT
+        mc = FAST if command == "validate-mc" else []
+        assert main([command] + bound + mc) == EXIT_INVALID_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
@@ -482,22 +490,25 @@ class TestOptimizeCheck:
         assert code == EXIT_VALIDATION_FAILURE
         assert capsys.readouterr().out.endswith("# check_ok=0\n")
 
-COMMON = [("config", None), ("out", None), ("format", "csv"), ("seed", 12345),
-          ("trials", 1000000), ("chunk", 250000)]
+# the subcommands that draw Monte Carlo and so take the MC options
+DRAWS_MC = {"pop", "sweep-threshold", "validate-mc"}
+COMMON = [("config", None), ("out", None), ("format", "csv")]
+MC = [("seed", 12345), ("trials", 1000000), ("chunk", 250000)]
 
-# vars() of each subcommand's parsed defaults, key order included, as
-# recorded before the subcommands moved into one table; the order follows
-# the add_argument calls, so a reordered flag shows up here
+# vars() of each subcommand's parsed defaults, key order included; the order
+# follows the add_argument calls, so a reordered flag shows up here. The
+# Monte Carlo options come last, on the subcommands that draw Monte Carlo
 PARSED_DEFAULTS = {
-    "pop": COMMON + [("alpha", 0.5), ("with_mc", False)],
+    "pop": COMMON + [("alpha", 0.5), ("with_mc", False)] + MC,
     "optimize": COMMON + [("check", False)],
     "sweep-alpha": COMMON + [("start", 0.1), ("stop", 0.9), ("count", 17)],
     "sweep-threshold": COMMON + [("var", "r_th_both"), ("start", 0.05),
                                  ("stop", 0.5), ("count", 10),
-                                 ("with_mc", False)],
+                                 ("with_mc", False)] + MC,
     "sweep-snr": COMMON + [("start", 40.0), ("stop", 80.0), ("count", 9)],
     "compare": COMMON + [("start", 60.0), ("stop", 200.0), ("count", 15)],
-    "validate-mc": COMMON + [("start", 0.1), ("stop", 0.9), ("count", 25)],
+    "validate-mc": (COMMON + [("start", 0.1), ("stop", 0.9), ("count", 25)]
+                    + MC),
 }
 
 
@@ -510,6 +521,13 @@ class TestParser:
 
     def test_every_command_is_pinned(self):
         assert list(harness.COMMANDS) == list(PARSED_DEFAULTS)
+
+    @pytest.mark.parametrize("command", PARSED_DEFAULTS)
+    def test_help_lists_mc_options_where_mc_is_drawn(self, capsys, command):
+        assert main([command, "--help"]) == EXIT_OK
+        out = capsys.readouterr().out
+        for flag in ("--seed", "--trials", "--chunk"):
+            assert (flag in out) == (command in DRAWS_MC)
 
     @pytest.mark.parametrize("var", ["r1_th", "r2_th", "r_th_both"])
     def test_threshold_var_choices(self, var):
@@ -525,18 +543,25 @@ class TestParser:
 
 
 class TestMcFlagsChecked:
-    """``--trials``/``--chunk`` are checked on every subcommand, also where
-    no Monte Carlo runs."""
+    """``--trials``/``--chunk`` are checked on the subcommands that draw
+    Monte Carlo, also without ``--with-mc``; the others do not know them."""
 
     @pytest.mark.parametrize("command", [
         ["optimize", "--trials", "0"],
         ["sweep-snr", "--chunk", "0"],
         ["pop", "--trials", "0"],
+        # past sys.maxsize, the chunk list cannot be built
+        ["validate-mc", "--count", "2", "--trials",
+         "10000000000000000000000000"],
     ])
     def test_rejected_with_one_error_line(self, capsys, command):
         assert main(command) == EXIT_INVALID_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
+        if command[0] not in DRAWS_MC:
+            assert captured.err.endswith(
+                f"error: unrecognized arguments: {' '.join(command[1:])}\n")
+            return
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert captured.err.endswith("\n")
