@@ -62,28 +62,30 @@ class SinrTuple(NamedTuple):
     gamma22: float
 
 
-def sinrs(alpha: float, g1, g2, beta: float, rho_t: float,
-          out=None) -> SinrTuple:
+def decode_terms(alpha: float, beta: float):
+    """The four decode conditions at split ``alpha``, in SinrTuple order.
+
+    Each is ``(user, message, c, k)``: user ``user`` (1 or 2) decodes message
+    ``message`` at SINR c * g / (k * g + 1 / rho_t), g being its own channel
+    gain, and the condition holds when that SINR exceeds pi_message. Users
+    decode the other user's message first, with full interference from their
+    own, then their own message after SIC with residual factor beta.
+    """
+    return ((1, 2, 1.0 - alpha, alpha),
+            (2, 1, alpha, 1.0 - alpha),
+            (1, 1, alpha, (1.0 - alpha) * beta),
+            (2, 2, 1.0 - alpha, alpha * beta))
+
+
+def sinrs(alpha: float, g1, g2, beta: float, rho_t: float) -> SinrTuple:
     """SINRs of both messages at both receivers for one channel realization.
 
-    User 1 and user 2 each decode the other user's message first (full
-    interference from their own signal), then their own message after SIC
-    with residual factor beta. g1/g2 may be scalars or numpy arrays. With
-    ``out``, a (5, n) float array for n gains, the SINRs are written into
-    its first four rows, row 4 is scratch, and nothing is allocated.
+    The conditions' coefficients come from `decode_terms`. g1/g2 may be
+    scalars or numpy arrays.
     """
-    inv_rho = 1.0 / rho_t
-    dst = (None,) * 5 if out is None else out
-
-    def ratio(c, g, k, row):
-        # every SINR is c * g / (k * g + 1 / rho_t)
-        den = np.add(np.multiply(k, g, out=dst[4]), inv_rho, out=dst[4])
-        return np.divide(np.multiply(c, g, out=dst[row]), den, out=dst[row])
-
-    return SinrTuple(ratio(1.0 - alpha, g1, alpha, 0),
-                     ratio(alpha, g2, 1.0 - alpha, 1),
-                     ratio(alpha, g1, (1.0 - alpha) * beta, 2),
-                     ratio(1.0 - alpha, g2, alpha * beta, 3))
+    inv_rho, gains = 1.0 / rho_t, (g1, g2)
+    return SinrTuple(*(c * gains[user - 1] / (k * gains[user - 1] + inv_rho)
+                       for user, _, c, k in decode_terms(alpha, beta)))
 
 
 @dataclass(frozen=True)

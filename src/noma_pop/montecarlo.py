@@ -2,13 +2,16 @@
 
 Draws independent exponential channel gains for both users, applies the four
 decode conditions at SINR level, and counts the trials where any condition
-fails. Trials are split into fixed-size chunks, each driven by its own
+fails. Each condition, SINR c * g / (k * g + 1 / rho_t) > pi with the
+coefficients of ``model.decode_terms``, is tested with its positive
+denominator cleared, as c * g > (pi * k) * g + pi / rho_t: no divide and no
+SINR array. Trials are split into fixed-size chunks, each driven by its own
 deterministically derived substream, so the aggregate count depends only on
 (seed, chunk size, trial count) and never on scheduling or worker count.
 A chunk's substream holds all its u1 draws, then all its u2 draws. The chunk
 reads both halves block by block, u2 from a second copy of the substream
-advanced past the u1 half, so BLOCK trials at a time are drawn, turned into
-SINRs and counted in one workspace that stays in cache and is allocated once
+advanced past the u1 half, so BLOCK trials at a time are drawn, tested and
+counted in one workspace that stays in cache and is allocated once
 per call. A chunk that fits in one block draws both halves from the one
 generator, u2 right after u1: the same bits, without the second copy. The
 decode conditions are elementwise, so the count does not depend on BLOCK.
@@ -21,9 +24,9 @@ once, on first use, and kept for the life of the caller. Requests and
 replies are pickled over a pipe pair per lane. The call's count is the sum
 of the lanes' integer chunk counts, which does not depend on how chunks are
 dealt, so every output is the same bytes as a serial run. Forking costs
-about 4 ms a lane, the time half of 320,000 trials take at 25 ns each, so
-MIN_PARALLEL_TRIALS (500,000) is the size above which one call repays the
-lanes it starts, even in a fresh process. There is no option: a call under
+about 4 ms a lane, the time half of 400,000 trials take at 20 ns each, so
+one call of MIN_PARALLEL_TRIALS (500,000) or more repays the lanes it starts,
+even in a fresh process. There is no option: a call under
 the threshold, a single chunk, one CPU, a process running other Python
 threads (where fork is unsafe) and platforms without
 ``os.sched_getaffinity`` all count serially.
@@ -44,9 +47,9 @@ from typing import BinaryIO, Sequence
 import numpy as np
 
 from .analytic import pop_value
-from .model import DerivedParams, SystemConfig, sinrs
+from .model import DerivedParams, SystemConfig, decode_terms
 
-BLOCK = 16_384  # trials per SINR slice; its temporaries stay in cache
+BLOCK = 16_384  # trials per slice of a chunk; its workspace stays in cache
 MIN_PARALLEL_TRIALS = 500_000  # one-shot break-even of forking the lanes
 
 
@@ -119,8 +122,13 @@ def _count_chunks(d: DerivedParams, alpha: float, seed: int, block: int,
     Chunk ``index`` draws its gains from ``chunk_rng(seed, index)``, so its
     count depends only on its own substream.
     """
-    # rows: two gains, four SINRs, the SINR denominator; the mask and scratch
-    work, masks = np.empty((7, block)), np.empty((2, block), dtype=bool)
+    # each condition c * g / (k * g + 1 / rho_t) > pi, with its positive
+    # denominator cleared: c * g > (pi * k) * g + pi / rho_t
+    pis = (d.pi1, d.pi2)
+    terms = [(user - 1, c, pis[message - 1] * k, pis[message - 1] / d.rho_t)
+             for user, message, c, k in decode_terms(alpha, d.beta)]
+    # rows: two gains, the signal and the right-hand side; the mask, scratch
+    work, masks = np.empty((4, block)), np.empty((2, block), dtype=bool)
     successes = 0
     for idx, size in chunks:
         rng, rng2 = chunk_rng(seed, idx), None
@@ -130,13 +138,17 @@ def _count_chunks(d: DerivedParams, alpha: float, seed: int, block: int,
         for lo in range(0, size, block):
             n = min(block, size - lo)
             w, (ok, cond) = work[:, :n], masks[:, :n]
-            g1, g2 = sample_gains(rng, d.lambda1, d.lambda2, size=n,
-                                  rng2=rng2, out=w[:2])
-            s = sinrs(alpha, g1, g2, d.beta, d.rho_t, out=w[2:])
-            np.greater(s.gamma11, d.pi1, out=ok)
-            for gamma, pi in ((s.gamma21, d.pi2), (s.gamma12, d.pi1),
-                              (s.gamma22, d.pi2)):
-                ok &= np.greater(gamma, pi, out=cond)
+            sample_gains(rng, d.lambda1, d.lambda2, size=n, rng2=rng2,
+                         out=w[:2])
+            signal, rhs = w[2], w[3]
+            for i, (row, c, pi_k, pi_noise) in enumerate(terms):
+                np.multiply(c, w[row], out=signal)
+                np.multiply(pi_k, w[row], out=rhs)
+                np.add(rhs, pi_noise, out=rhs)
+                if i:
+                    ok &= np.greater(signal, rhs, out=cond)
+                else:
+                    np.greater(signal, rhs, out=ok)
             successes += int(np.count_nonzero(ok))
     return successes
 

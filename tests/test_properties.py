@@ -24,6 +24,7 @@ from noma_pop import (
     McConfig,
     NoFeasibleAllocationError,
     SystemConfig,
+    breakpoints,
     classify_case,
     optimize,
     pop_curve,
@@ -36,7 +37,8 @@ from noma_pop import montecarlo
 from noma_pop.harness import (
     EXIT_INVALID_INPUT, EXIT_NO_FEASIBLE_ALLOCATION, EXIT_OK,
     EXIT_VALIDATION_FAILURE, Experiment, load_config, main)
-from noma_pop.montecarlo import chunk_rng, count_successes
+from noma_pop.montecarlo import (
+    BLOCK, _chunk_sizes, _count_chunks, chunk_rng, count_successes)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
                     database=None)
@@ -229,7 +231,13 @@ def test_fuzzed_config_fails_cleanly_or_prints_finite_numbers(values):
 def whole_chunk_count(config, alpha, mc, block):
     """The kernel with each chunk's gains drawn in one piece: u1 then u2
     from the chunk's substream, SINRs and conditions on ``block`` slices."""
-    d = DerivedParams.from_config(config)
+    return ratio_form_count(DerivedParams.from_config(config), alpha, mc,
+                            block)
+
+
+def ratio_form_count(d, alpha, mc, block):
+    """`whole_chunk_count` for the derived parameters ``d``: each condition
+    is tested as ``sinrs`` computes it, a ratio compared with pi."""
     successes = 0
     for idx, start in enumerate(range(0, mc.trials, mc.chunk)):
         size = min(mc.chunk, mc.trials - start)
@@ -267,3 +275,34 @@ def test_block_draws_count_like_whole_chunk_draws(run, alpha, beta, seed):
     with mock.patch.object(montecarlo, "BLOCK", block):
         got = count_successes(config, alpha, mc)
     assert got == whole_chunk_count(config, alpha, mc, block)
+
+
+PI_REF = 2.0 ** 0.1 - 1.0  # the reference threshold, 0.1 b/s/Hz
+
+
+@pytest.mark.parametrize(
+    "lambda1, lambda2, rho_t, pi1, pi2, beta, alpha, seed, expected", [
+        (8e-50, 1e-50, 1e50, PI_REF, PI_REF, 0.2, 0.3, 60, 50831),
+        (1e50, 1.25e49, 1e-50, PI_REF, PI_REF, 0.0, 0.7, 61, 7612),
+        (8.0, 1.0, 1e-50, 1e-50, 1e-50, 1.0, 0.25, 62, 728),
+        (1e50, 1e50, 1.0, 1e-50, 1e49, 1.0, 5e-50, 63, 47020),
+        (1e50, 1e50, 1e-50, 1e50, 1e50, 1.0, 0.5, 64, 0),
+        (1e-50, 1e-50, 1e50, 1e-50, 1e-50, 1.0, 0.75, 65, 70_001),
+    ], ids=["tiny_gains_huge_snr", "huge_gains_tiny_snr", "tiny_thresholds",
+            "thresholds_at_both_ends", "largest_products",
+            "smallest_products"])
+def test_cleared_conditions_count_like_ratios_at_scale_corners(
+        lambda1, lambda2, rho_t, pi1, pi2, beta, alpha, seed, expected):
+    # The kernel tests c*g > (pi*k)*g + pi/rho_t; the reference divides.
+    # The rows put the mean gains, the SNR and the thresholds at the ends of
+    # [1e-50, 1e50], so those products run from about 1e-101 to 2e101. The
+    # parameters are built directly: no rate r gives pi = 2**r - 1 = 1e-50.
+    d = DerivedParams(lambda1, lambda2, rho_t, pi1, pi2, beta,
+                      breakpoints(pi1, pi2, beta))
+    # each split lies at least 10% away from every breakpoint
+    assert len({classify_case(a, d)
+                for a in (0.9 * alpha, alpha, 1.1 * alpha)}) == 1
+    mc = McConfig(trials=70_001, seed=seed, chunk=30_000)
+    chunks = list(enumerate(_chunk_sizes(mc.trials, mc.chunk)))
+    got = _count_chunks(d, alpha, mc.seed, BLOCK, chunks)
+    assert got == ratio_form_count(d, alpha, mc, BLOCK) == expected
