@@ -223,14 +223,15 @@ MC_FLAGS = (
     ("--chunk", {"type": int, "default": McConfig().chunk,
                  "help": "trials per deterministic substream"}),
 )
+# where the Monte Carlo columns are opt-in
+WITH_MC = (("--with-mc", {"action": "store_true", "help":
+                          "cross-check with the Monte Carlo estimator"}),
+           ) + MC_FLAGS
 
 COMMANDS = {
     "pop": Command(
         "evaluate POP at one split", body=_pop_body,
-        flags=(("--alpha", {"type": float, "default": EPA_ALPHA}),
-               ("--with-mc", {"action": "store_true", "help":
-                              "cross-check with the Monte Carlo estimator"}))
-        + MC_FLAGS),
+        flags=(("--alpha", {"type": float, "default": EPA_ALPHA}),) + WITH_MC),
     "optimize": Command(
         "closed-form optimal split", body=_optimize_body,
         flags=(("--check", {"action": "store_true", "help": "cross-check the "
@@ -248,7 +249,7 @@ COMMANDS = {
         reject=(lambda exp: exp.start <= 0,
                 "threshold rates must be positive"),
         echo=("r1_th", "r2_th", "rho_t_db"), metrics=_epa_metrics,
-        flags=(("--with-mc", {"action": "store_true"}),) + MC_FLAGS),
+        flags=WITH_MC),
     "sweep-snr": Command(
         "POP versus transmit SNR", axes={"rho_t_db": ("rho_t_db",)},
         sweep=(40.0, 80.0, 9), echo=("rho_t_db",), metrics=_epa_metrics),

@@ -20,16 +20,17 @@ On Linux a call of at least MIN_PARALLEL_TRIALS trials and two or more
 chunks also uses the other CPUs the process may run on (L of them in all,
 from ``os.sched_getaffinity``). Chunk ``i`` of the call goes to lane
 ``i mod L``: lane 0 is the caller, and each other lane is a process forked
-once, on first use, and kept for the life of the caller. Requests and
-replies are pickled over a pipe pair per lane. The call's count is the sum
+once, on first use, and kept for the life of the caller. A request names
+its chunks as a range of indices; requests and replies are pickled over a
+pipe pair per lane. The call's count is the sum
 of the lanes' integer chunk counts, which does not depend on how chunks are
-dealt, so every output is the same bytes as a serial run. Forking costs
-about 4 ms a lane, the time half of 400,000 trials take at 20 ns each, so
-one call of MIN_PARALLEL_TRIALS (500,000) or more repays the lanes it starts,
-even in a fresh process. There is no option: a call under
-the threshold, a single chunk, one CPU, a process running other Python
-threads (where fork is unsafe) and platforms without
-``os.sched_getaffinity`` all count serially.
+dealt, so every output is the same bytes as a serial run. Lanes repay over
+repeated calls, not in one: on 2 CPUs a fresh process's first 1e6-trial
+call took about as long with a lane as without (median 39 against 38 ms),
+and later calls took 14 against 22 ms. Forking costs about 4 ms a lane.
+There is no option: a call under MIN_PARALLEL_TRIALS (500,000), a single
+chunk, one CPU, a process running other Python threads (where fork is
+unsafe) and platforms without ``os.sched_getaffinity`` all count serially.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .analytic import pop_value
 from .model import DerivedParams, SystemConfig, decode_terms
 
 BLOCK = 16_384  # trials per slice of a chunk; its workspace stays in cache
-MIN_PARALLEL_TRIALS = 500_000  # one-shot break-even of forking the lanes
+MIN_PARALLEL_TRIALS = 500_000  # smallest call that shares out its chunks
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ class McConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.trials > sys.maxsize:  # more chunks than a list can index
+        if self.trials > sys.maxsize:  # more chunks than len() can count
             raise ValueError(f"trials must be <= {sys.maxsize}, "
                              f"got {self.trials}")
         if self.chunk < 1:
@@ -110,17 +111,13 @@ def sample_gains(rng: np.random.Generator, lambda1: float, lambda2: float,
     return u1, u2
 
 
-def _chunk_sizes(trials: int, chunk: int) -> list[int]:
-    full, rem = divmod(trials, chunk)
-    return [chunk] * full + ([rem] if rem else [])
+def _count_chunks(d: DerivedParams, alpha: float, mc: McConfig, block: int,
+                  chunks: Sequence[int]) -> int:
+    """Successes over the chunk indices ``chunks``, in the order given.
 
-
-def _count_chunks(d: DerivedParams, alpha: float, seed: int, block: int,
-                  chunks: Sequence[tuple[int, int]]) -> int:
-    """Successes over ``chunks``, (index, size) pairs, in the order given.
-
-    Chunk ``index`` draws its gains from ``chunk_rng(seed, index)``, so its
-    count depends only on its own substream.
+    Chunk ``idx`` holds the trials from ``idx * mc.chunk`` on, at most
+    ``mc.chunk`` of them, and draws its gains from ``chunk_rng(mc.seed,
+    idx)``, so its count depends only on its own substream.
     """
     # each condition c * g / (k * g + 1 / rho_t) > pi, with its positive
     # denominator cleared: c * g > (pi * k) * g + pi / rho_t
@@ -130,10 +127,11 @@ def _count_chunks(d: DerivedParams, alpha: float, seed: int, block: int,
     # rows: two gains, the signal and the right-hand side; the mask, scratch
     work, masks = np.empty((4, block)), np.empty((2, block), dtype=bool)
     successes = 0
-    for idx, size in chunks:
-        rng, rng2 = chunk_rng(seed, idx), None
+    for idx in chunks:
+        size = min(mc.chunk, mc.trials - idx * mc.chunk)
+        rng, rng2 = chunk_rng(mc.seed, idx), None
         if size > block:  # else u2 follows u1 in rng, as in one whole draw
-            rng2 = chunk_rng(seed, idx)
+            rng2 = chunk_rng(mc.seed, idx)
             rng2.bit_generator.advance(size)  # one 64-bit output per double
         for lo in range(0, size, block):
             n = min(block, size - lo)
@@ -176,8 +174,7 @@ class _Lane:
             raise RuntimeError(f"Monte Carlo lane {self.pid} exited") from exc
 
 
-_lanes: list[_Lane] = []  # lane processes 1, 2, ... of the process `_owner`
-_owner = 0  # pid whose exit handler stops `_lanes`; other pids inherited them
+_lanes: list[_Lane] = []  # lane processes 1, 2, ... of this process
 
 
 def _serve(requests, replies) -> None:
@@ -200,7 +197,7 @@ def _serve(requests, replies) -> None:
         replies.flush()
 
 
-def _fork_lane(siblings: Sequence[_Lane]) -> _Lane:
+def _fork_lane() -> _Lane:
     """Fork one lane process serving `_serve` until its requests end."""
     import signal  # loaded only by a process that starts lanes
     fds: list[int] = []
@@ -220,10 +217,6 @@ def _fork_lane(siblings: Sequence[_Lane]) -> _Lane:
             signal.signal(signal.SIGINT, signal.SIG_IGN)
             os.close(req_w)
             os.close(rep_r)
-            # so that each sibling sees EOF once the owner's ends close
-            for lane in siblings:
-                lane.requests.close()
-                lane.replies.close()
             with open(req_r, "rb") as requests, open(rep_w, "wb") as replies:
                 _serve(requests, replies)
             code = 0
@@ -236,26 +229,40 @@ def _fork_lane(siblings: Sequence[_Lane]) -> _Lane:
     return _Lane(pid, open(req_w, "wb"), open(rep_r, "rb"))
 
 
+def _forget_lanes() -> list[_Lane]:
+    """Close this process's ends of the lanes and forget them; return them.
+
+    Runs in every forked child, lane or not, so that a lane sees EOF once its
+    owner's ends close, and a child that counts forks lanes of its own.
+    """
+    global _lanes
+    lanes, _lanes = _lanes, []
+    for lane in lanes:
+        for end in (lane.requests, lane.replies):
+            with contextlib.suppress(OSError):  # unsent bytes, lane gone
+                end.close()
+    return lanes
+
+
 def _drop_lanes() -> None:
-    """Kill and reap this process's lanes; forget lanes inherited by fork.
+    """Kill, forget and reap the lanes.
 
     Runs at exit, and whenever a call fails: requests may be in flight, whose
     replies would otherwise pair with the next call's requests.
     """
-    import signal
-    global _lanes
-    lanes, _lanes = _lanes, []
-    own = _owner == os.getpid()
-    for lane in lanes:
-        if own:
+    if _lanes:  # else exit would load signal for nothing
+        import signal
+        for lane in _lanes:
             with contextlib.suppress(ProcessLookupError):
                 os.kill(lane.pid, signal.SIGKILL)
-        for end in (lane.requests, lane.replies):
-            with contextlib.suppress(OSError):  # unsent bytes, lane gone
-                end.close()
-        if own:
-            with contextlib.suppress(ChildProcessError):
-                os.waitpid(lane.pid, 0)
+    for lane in _forget_lanes():
+        with contextlib.suppress(ChildProcessError):
+            os.waitpid(lane.pid, 0)
+
+
+atexit.register(_drop_lanes)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_lanes)
 
 
 def _lanes_for(trials: int, n_chunks: int) -> list[_Lane]:
@@ -264,21 +271,15 @@ def _lanes_for(trials: int, n_chunks: int) -> list[_Lane]:
     threads run (fork is unsafe then, and the lanes serve one call at a
     time) or without ``os.sched_getaffinity``. A lane that cannot be forked
     is left out."""
-    global _owner
-    if (trials < MIN_PARALLEL_TRIALS or n_chunks < 2
-            or not hasattr(os, "sched_getaffinity")
+    if (trials < MIN_PARALLEL_TRIALS or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1):
         return []
     wanted = min(len(os.sched_getaffinity(0)), n_chunks) - 1
     if wanted < 1:
         return []
-    if _owner != os.getpid():  # a forked child starts lanes of its own
-        _drop_lanes()
-        atexit.register(_drop_lanes)
-        _owner = os.getpid()
     while len(_lanes) < wanted:
         try:
-            _lanes.append(_fork_lane(_lanes))
+            _lanes.append(_fork_lane())
         except OSError:  # no process or pipe to spare: use the lanes there are
             break
     return _lanes[:wanted]
@@ -295,13 +296,13 @@ def count_successes(config: SystemConfig, alpha: float, mc: McConfig) -> int:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     d = DerivedParams.from_config(config)
     block = min(BLOCK, mc.chunk, mc.trials)
-    chunks = list(enumerate(_chunk_sizes(mc.trials, mc.chunk)))
+    chunks = range(-(-mc.trials // mc.chunk))
     lanes = _lanes_for(mc.trials, len(chunks))
     n = len(lanes) + 1  # with no lanes, the caller counts every chunk
     try:
         for i, lane in enumerate(lanes, 1):
-            lane.send((d, alpha, mc.seed, block, chunks[i::n]))
-        successes = _count_chunks(d, alpha, mc.seed, block, chunks[::n])
+            lane.send((d, alpha, mc, block, chunks[i::n]))
+        successes = _count_chunks(d, alpha, mc, block, chunks[::n])
         replies = [lane.receive() for lane in lanes]
     except BaseException:
         _drop_lanes()

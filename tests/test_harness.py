@@ -528,6 +528,10 @@ class TestParser:
         out = capsys.readouterr().out
         for flag in ("--seed", "--trials", "--chunk"):
             assert (flag in out) == (command in DRAWS_MC)
+        # --with-mc, where the Monte Carlo columns are opt-in, is described
+        described = ("--with-mc cross-check with the Monte Carlo estimator"
+                     in " ".join(out.split()))
+        assert described == (command in {"pop", "sweep-threshold"})
 
     @pytest.mark.parametrize("var", ["r1_th", "r2_th", "r_th_both"])
     def test_threshold_var_choices(self, var):

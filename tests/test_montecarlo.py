@@ -25,7 +25,6 @@ import noma_pop.montecarlo
 from noma_pop.montecarlo import (
     BLOCK,
     MIN_PARALLEL_TRIALS,
-    _chunk_sizes,
     _count_chunks,
     check_point,
     chunk_rng,
@@ -264,9 +263,9 @@ class TestLanes:
                                               cpus, trials, chunk):
         fresh_lanes(cpus)
         mc = McConfig(trials=trials, seed=17, chunk=chunk)
-        chunks = list(enumerate(_chunk_sizes(trials, chunk)))
+        chunks = range(math.ceil(trials / chunk))
         serial = _count_chunks(DerivedParams.from_config(ref_config), 0.45,
-                               mc.seed, min(BLOCK, chunk), chunks)
+                               mc, min(BLOCK, chunk), chunks)
         with deadline(60):
             assert count_successes(ref_config, 0.45, mc) == serial
         assert len(lane_pids()) == min(cpus, len(chunks)) - 1
@@ -394,6 +393,31 @@ class TestLanes:
         with deadline(60):
             _, status = os.waitpid(first.pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_forked_child_holds_no_lane_open(self, fresh_lanes, ref_config):
+        fresh_lanes(2)
+        alpha, mc, want = PINNED_LANES
+        assert count_successes(ref_config, alpha, mc) == want
+        first = noma_pop.montecarlo._lanes[0]
+        release_r, release_w = os.pipe()
+        child = os.fork()
+        if child == 0:  # makes no Monte Carlo call; waits to be released
+            try:
+                os.close(release_w)
+                os.read(release_r, 1)
+            finally:
+                os._exit(0)
+        os.close(release_r)
+        try:
+            first.requests.close()  # as at the owner's exit
+            with deadline(10):
+                _, status = os.waitpid(first.pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+            assert os.waitpid(child, os.WNOHANG) == (0, 0)  # still waiting
+        finally:
+            os.close(release_w)
+            with deadline(60):
+                os.waitpid(child, 0)
 
     def test_forked_child_starts_its_own_lanes(self, fresh_lanes,
                                                ref_config):

@@ -38,7 +38,7 @@ from noma_pop.harness import (
     EXIT_INVALID_INPUT, EXIT_NO_FEASIBLE_ALLOCATION, EXIT_OK,
     EXIT_VALIDATION_FAILURE, Experiment, load_config, main)
 from noma_pop.montecarlo import (
-    BLOCK, _chunk_sizes, _count_chunks, chunk_rng, count_successes)
+    BLOCK, _count_chunks, chunk_rng, count_successes)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
                     database=None)
@@ -303,6 +303,6 @@ def test_cleared_conditions_count_like_ratios_at_scale_corners(
     assert len({classify_case(a, d)
                 for a in (0.9 * alpha, alpha, 1.1 * alpha)}) == 1
     mc = McConfig(trials=70_001, seed=seed, chunk=30_000)
-    chunks = list(enumerate(_chunk_sizes(mc.trials, mc.chunk)))
-    got = _count_chunks(d, alpha, mc.seed, BLOCK, chunks)
+    got = _count_chunks(d, alpha, mc, BLOCK,
+                        range(math.ceil(mc.trials / mc.chunk)))
     assert got == ratio_form_count(d, alpha, mc, BLOCK) == expected
