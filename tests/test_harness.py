@@ -554,7 +554,7 @@ class TestMcFlagsChecked:
         ["optimize", "--trials", "0"],
         ["sweep-snr", "--chunk", "0"],
         ["pop", "--trials", "0"],
-        # past sys.maxsize, the chunk list cannot be built
+        # past sys.maxsize, len() cannot count the chunks
         ["validate-mc", "--count", "2", "--trials",
          "10000000000000000000000000"],
     ])

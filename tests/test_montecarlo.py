@@ -409,7 +409,8 @@ class TestLanes:
                 os._exit(0)
         os.close(release_r)
         try:
-            first.requests.close()  # as at the owner's exit
+            # as when the owner ends without running its exit handler
+            first.requests.close()
             with deadline(10):
                 _, status = os.waitpid(first.pid, 0)
             assert os.waitstatus_to_exitcode(status) == 0
