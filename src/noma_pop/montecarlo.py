@@ -16,21 +16,18 @@ per call. A chunk that fits in one block draws both halves from the one
 generator, u2 right after u1: the same bits, without the second copy. The
 decode conditions are elementwise, so the count does not depend on BLOCK.
 
-On Linux a call of at least MIN_PARALLEL_TRIALS trials and two or more
-chunks also uses the other CPUs the process may run on (L of them in all,
-from ``os.sched_getaffinity``). Chunk ``i`` of the call goes to lane
-``i mod L``: lane 0 is the caller, and each other lane is a process forked
-once, on first use, and kept for the life of the caller. A request names
-its chunks as a range of indices; requests and replies are pickled over a
-pipe pair per lane. The call's count is the sum
-of the lanes' integer chunk counts, which does not depend on how chunks are
-dealt, so every output is the same bytes as a serial run. Lanes repay over
-repeated calls, not in one: on 2 CPUs a fresh process's first 1e6-trial
-call took about as long with a lane as without (median 39 against 38 ms),
-and later calls took 14 against 22 ms. Forking costs about 4 ms a lane.
-There is no option: a call under MIN_PARALLEL_TRIALS (500,000), a single
-chunk, one CPU, a process running other Python threads (where fork is
-unsafe) and platforms without ``os.sched_getaffinity`` all count serially.
+On Linux a call with two or more chunks, unless it is the process's first,
+also uses the other CPUs the process may run on (L of them in all, from
+``os.sched_getaffinity``). Chunk ``i`` of the call goes to lane ``i mod L``:
+lane 0 is the caller, and each other lane is a process forked once, on first
+use, and kept for the life of the caller. A request names its chunks as a
+range of indices; requests and replies are pickled over a pipe pair per
+lane. The call's count is the sum of the lanes' integer chunk counts, which
+does not depend on how chunks are dealt, so every output is the same bytes
+as a serial run. A fork costs about 4 ms a lane, which only later calls
+repay. There is no option: a process's first call (a forked child's too), a
+single chunk, one CPU, a process running other Python threads (where fork
+is unsafe) and platforms without ``os.sched_getaffinity`` count serially.
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ from .analytic import pop_value
 from .model import DerivedParams, SystemConfig, decode_terms
 
 BLOCK = 16_384  # trials per slice of a chunk; its workspace stays in cache
-MIN_PARALLEL_TRIALS = 500_000  # smallest call that shares out its chunks
 
 
 @dataclass(frozen=True)
@@ -63,13 +59,15 @@ class McConfig:
     chunk: int = 250_000
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        for name, low in (("trials", 1), ("seed", 0), ("chunk", 1)):
+            value = getattr(self, name)
+            if not hasattr(type(value), "__index__"):  # as operator.index
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValueError(f"{name} must be >= {low}, got {value}")
         if self.trials > sys.maxsize:  # more chunks than len() can count
             raise ValueError(f"trials must be <= {sys.maxsize}, "
                              f"got {self.trials}")
-        if self.chunk < 1:
-            raise ValueError(f"chunk must be >= 1, got {self.chunk}")
 
 
 @dataclass(frozen=True)
@@ -119,8 +117,7 @@ def _count_chunks(d: DerivedParams, alpha: float, mc: McConfig, block: int,
     ``mc.chunk`` of them, and draws its gains from ``chunk_rng(mc.seed,
     idx)``, so its count depends only on its own substream.
     """
-    # each condition c * g / (k * g + 1 / rho_t) > pi, with its positive
-    # denominator cleared: c * g > (pi * k) * g + pi / rho_t
+    # each condition with its denominator cleared (see the module docstring)
     pis = (d.pi1, d.pi2)
     terms = [(user - 1, c, pis[message - 1] * k, pis[message - 1] / d.rho_t)
              for user, message, c, k in decode_terms(alpha, d.beta)]
@@ -175,6 +172,7 @@ class _Lane:
 
 
 _lanes: list[_Lane] = []  # lane processes 1, 2, ... of this process
+_counted = False  # whether this process has called count_successes
 
 
 def _serve(requests, replies) -> None:
@@ -233,10 +231,10 @@ def _forget_lanes() -> list[_Lane]:
     """Close this process's ends of the lanes and forget them; return them.
 
     Runs in every forked child, lane or not, so that a lane sees EOF once its
-    owner's ends close, and a child that counts forks lanes of its own.
+    owner's ends close, and a child counts as a fresh process would.
     """
-    global _lanes
-    lanes, _lanes = _lanes, []
+    global _lanes, _counted
+    lanes, _lanes, _counted = _lanes, [], False
     for lane in lanes:
         for end in (lane.requests, lane.replies):
             with contextlib.suppress(OSError):  # unsent bytes, lane gone
@@ -265,13 +263,12 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_lanes)
 
 
-def _lanes_for(trials: int, n_chunks: int) -> list[_Lane]:
-    """The lanes, besides the caller, that share a call's chunks: none below
-    MIN_PARALLEL_TRIALS, for one chunk, on one CPU, while other Python
-    threads run (fork is unsafe then, and the lanes serve one call at a
-    time) or without ``os.sched_getaffinity``. A lane that cannot be forked
-    is left out."""
-    if (trials < MIN_PARALLEL_TRIALS or not hasattr(os, "sched_getaffinity")
+def _lanes_for(n_chunks: int) -> list[_Lane]:
+    """The lanes, besides the caller, that share a call's chunks: none where
+    the module docstring says a call counts serially (fork is unsafe while
+    other threads run, and the lanes serve one call at a time). A lane that
+    cannot be forked is left out."""
+    if (not _counted or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1):
         return []
     wanted = min(len(os.sched_getaffinity(0)), n_chunks) - 1
@@ -292,12 +289,13 @@ def count_successes(config: SystemConfig, alpha: float, mc: McConfig) -> int:
     count depends only on its own substream. Of L lanes, lane ``i mod L``
     counts chunk `i` (see the module docstring); the total is the same.
     """
+    global _counted
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     d = DerivedParams.from_config(config)
     block = min(BLOCK, mc.chunk, mc.trials)
     chunks = range(-(-mc.trials // mc.chunk))
-    lanes = _lanes_for(mc.trials, len(chunks))
+    lanes = _lanes_for(len(chunks))
     n = len(lanes) + 1  # with no lanes, the caller counts every chunk
     try:
         for i, lane in enumerate(lanes, 1):
@@ -307,6 +305,8 @@ def count_successes(config: SystemConfig, alpha: float, mc: McConfig) -> int:
     except BaseException:
         _drop_lanes()
         raise
+    finally:  # after _drop_lanes: the next call starts fresh lanes
+        _counted = True
     for ok, value in replies:
         if not ok:
             raise value

@@ -377,6 +377,22 @@ class TestCli:
                 with pytest.raises(ProcessLookupError):
                     os.kill(pid, 0)
 
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="lanes run only where the affinity is known")
+    def test_one_shot_pop_with_mc_starts_no_lane(self, tmp_path):
+        # its one Monte Carlo call, 4 chunks at the defaults, is the
+        # process's first, which a lane would not repay
+        src = Path(noma_pop.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        pid_file = tmp_path / "lanes"
+        proc = subprocess.run(
+            [sys.executable, "-c", LANE_RUN, str(pid_file), "lanes", "pop",
+             "--alpha", "0.5", "--with-mc"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert "mc_pop" in proc.stdout
+        assert pid_file.read_text() == ""
+
     def test_import_does_not_run_the_cli(self):
         assert "noma_pop.__main__" not in sys.modules
 
@@ -547,8 +563,9 @@ class TestParser:
 
 
 class TestMcFlagsChecked:
-    """``--trials``/``--chunk`` are checked on the subcommands that draw
-    Monte Carlo, also without ``--with-mc``; the others do not know them."""
+    """``--seed``/``--trials``/``--chunk`` are checked on the subcommands
+    that draw Monte Carlo, also without ``--with-mc``, and the error names
+    the option; the others do not know them."""
 
     @pytest.mark.parametrize("command", [
         ["optimize", "--trials", "0"],
@@ -557,6 +574,8 @@ class TestMcFlagsChecked:
         # past sys.maxsize, len() cannot count the chunks
         ["validate-mc", "--count", "2", "--trials",
          "10000000000000000000000000"],
+        # numpy's seed check would say only "expected non-negative integer"
+        ["pop", "--seed", "-1"],
     ])
     def test_rejected_with_one_error_line(self, capsys, command):
         assert main(command) == EXIT_INVALID_INPUT
@@ -566,6 +585,6 @@ class TestMcFlagsChecked:
             assert captured.err.endswith(
                 f"error: unrecognized arguments: {' '.join(command[1:])}\n")
             return
-        assert captured.err.startswith("error: ")
+        assert captured.err.startswith(f"error: {command[-2][2:]} must be")
         assert captured.err.count("\n") == 1
         assert captured.err.endswith("\n")

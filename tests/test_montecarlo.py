@@ -24,7 +24,6 @@ from noma_pop import (
 import noma_pop.montecarlo
 from noma_pop.montecarlo import (
     BLOCK,
-    MIN_PARALLEL_TRIALS,
     _count_chunks,
     check_point,
     chunk_rng,
@@ -125,6 +124,11 @@ class TestEstimator:
     def test_invalid_inputs(self, ref_config):
         with pytest.raises(ValueError):
             McConfig(trials=0, seed=1, chunk=10)
+        # checked at construction, not by the first count
+        for field, bad in (("trials", 1e5), ("chunk", 5e4), ("seed", 1.0),
+                           ("seed", "1"), ("seed", -1)):
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                McConfig(**{field: bad})
         with pytest.raises(ValueError):
             pop_estimate(ref_config, 0.0, FAST_MC)
 
@@ -164,7 +168,12 @@ class TestPinnedCounts:
 
 
 class TestKernelMemory:
-    def test_peak_is_one_block_workspace_whatever_the_chunk(self, ref_config):
+    """The caller's kernel alone, on one CPU: no lane takes chunks out of
+    sight of the memory trace or the spy."""
+
+    def test_peak_is_one_block_workspace_whatever_the_chunk(self, fresh_lanes,
+                                                            ref_config):
+        fresh_lanes(1)
         peaks = []
         for chunk in (250_000, 1_000_000):
             mc = McConfig(trials=1_000_000, seed=8, chunk=chunk)
@@ -177,8 +186,10 @@ class TestKernelMemory:
         assert max(peaks) < 2 * 2**20
         assert abs(peaks[0] - peaks[1]) <= 64 * 2**10
 
-    def test_chunk_within_one_block_builds_one_generator(self, monkeypatch,
+    def test_chunk_within_one_block_builds_one_generator(self, fresh_lanes,
+                                                          monkeypatch,
                                                           ref_config):
+        fresh_lanes(1)
         # chunks of 30,000, 30,000 and 10,001 trials: the first two span two
         # blocks and take a second, advanced generator; the last fits in one
         indices = []
@@ -237,8 +248,10 @@ def spy_on_fork(monkeypatch):
 
 @pytest.fixture
 def fresh_lanes(monkeypatch):
-    """No lanes before or after the test; ``cpus(n)`` fakes the affinity."""
+    """No lanes before or after the test, and a process that has not
+    counted yet; ``cpus(n)`` fakes the affinity."""
     noma_pop.montecarlo._drop_lanes()
+    monkeypatch.setattr(noma_pop.montecarlo, "_counted", False)
 
     def cpus(n):
         monkeypatch.setattr(os, "sched_getaffinity",
@@ -246,6 +259,11 @@ def fresh_lanes(monkeypatch):
 
     yield cpus
     noma_pop.montecarlo._drop_lanes()
+
+
+def warm_up(config):
+    """A process's first call, which counts serially: one trial."""
+    count_successes(config, 0.5, McConfig(trials=1, seed=1, chunk=1))
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
@@ -262,6 +280,7 @@ class TestLanes:
     def test_lanes_count_what_one_lane_counts(self, fresh_lanes, ref_config,
                                               cpus, trials, chunk):
         fresh_lanes(cpus)
+        warm_up(ref_config)
         mc = McConfig(trials=trials, seed=17, chunk=chunk)
         chunks = range(math.ceil(trials / chunk))
         serial = _count_chunks(DerivedParams.from_config(ref_config), 0.45,
@@ -270,14 +289,16 @@ class TestLanes:
             assert count_successes(ref_config, 0.45, mc) == serial
         assert len(lane_pids()) == min(cpus, len(chunks)) - 1
 
-    @pytest.mark.parametrize("cpus, trials, chunk", [
-        (1, 1_000_000, 250_000),
-        (2, MIN_PARALLEL_TRIALS - 1, 100_000),
-        (2, 1_000_000, 1_000_000),
-    ], ids=["one_cpu", "below_threshold", "one_chunk"])
+    @pytest.mark.parametrize("cpus, trials, chunk, warm", [
+        (1, 1_000_000, 250_000, True),
+        (2, 1_000_000, 250_000, False),
+        (2, 1_000_000, 1_000_000, True),
+    ], ids=["one_cpu", "first_call", "one_chunk"])
     def test_serial_calls_never_fork(self, fresh_lanes, monkeypatch,
-                                     ref_config, cpus, trials, chunk):
+                                     ref_config, cpus, trials, chunk, warm):
         fresh_lanes(cpus)
+        if warm:
+            warm_up(ref_config)
         forks = spy_on_fork(monkeypatch)
         mc = McConfig(trials=trials, seed=5, chunk=chunk)
         count_successes(ref_config, 0.5, mc)
@@ -286,6 +307,7 @@ class TestLanes:
     def test_other_threads_keep_the_call_serial(self, fresh_lanes,
                                                 monkeypatch, ref_config):
         fresh_lanes(2)
+        warm_up(ref_config)
         forks = spy_on_fork(monkeypatch)
         stop = threading.Event()
         other = threading.Thread(target=stop.wait, args=(60,))
@@ -302,6 +324,7 @@ class TestLanes:
     def test_failed_fork_counts_serially_and_closes_its_pipes(
             self, fresh_lanes, monkeypatch, ref_config):
         fresh_lanes(2)
+        warm_up(ref_config)
 
         def fork():
             raise BlockingIOError(11, "Resource temporarily unavailable")
@@ -318,6 +341,7 @@ class TestLanes:
                                                      monkeypatch, ref_config,
                                                      exc):
         fresh_lanes(2)
+        warm_up(ref_config)
         alpha, mc, want = PINNED_LANES
         assert count_successes(ref_config, alpha, mc) == want
         (pid,) = lane_pids()
@@ -337,9 +361,11 @@ class TestLanes:
         assert lane_pids() == [] and is_gone(pid)
         with deadline(60):
             assert count_successes(ref_config, alpha, mc) == want
+        assert len(lane_pids()) == 1  # the next call starts a fresh lane
 
     def test_dead_lane_raises_and_is_replaced(self, fresh_lanes, ref_config):
         fresh_lanes(2)
+        warm_up(ref_config)
         alpha, mc, want = PINNED_LANES
         assert count_successes(ref_config, alpha, mc) == want
         (pid,) = lane_pids()
@@ -349,11 +375,12 @@ class TestLanes:
         assert lane_pids() == [] and is_gone(pid)
         with deadline(60):
             assert count_successes(ref_config, alpha, mc) == want
-        assert lane_pids() != [pid]
+        assert len(lane_pids()) == 1 and lane_pids() != [pid]
 
     def test_lane_exception_is_raised_in_the_caller(self, fresh_lanes,
                                                     monkeypatch, ref_config):
         fresh_lanes(2)
+        warm_up(ref_config)
         owner = os.getpid()
 
         def fails_in_lane(*args, **kwargs):
@@ -373,6 +400,7 @@ class TestLanes:
 
     def test_lanes_ignore_sigint(self, fresh_lanes, ref_config):
         fresh_lanes(2)
+        warm_up(ref_config)
         alpha, mc, want = PINNED_LANES
         assert count_successes(ref_config, alpha, mc) == want
         pids = lane_pids()
@@ -384,6 +412,7 @@ class TestLanes:
     def test_lane_exits_once_its_request_pipe_closes(self, fresh_lanes,
                                                      ref_config):
         fresh_lanes(4)
+        warm_up(ref_config)
         mc = McConfig(trials=1_000_000, seed=17, chunk=250_000)
         count_successes(ref_config, 0.45, mc)
         first = noma_pop.montecarlo._lanes[0]
@@ -396,6 +425,7 @@ class TestLanes:
 
     def test_forked_child_holds_no_lane_open(self, fresh_lanes, ref_config):
         fresh_lanes(2)
+        warm_up(ref_config)
         alpha, mc, want = PINNED_LANES
         assert count_successes(ref_config, alpha, mc) == want
         first = noma_pop.montecarlo._lanes[0]
@@ -423,14 +453,17 @@ class TestLanes:
     def test_forked_child_starts_its_own_lanes(self, fresh_lanes,
                                                ref_config):
         fresh_lanes(2)
+        warm_up(ref_config)
         alpha, mc, want = PINNED_LANES
         assert count_successes(ref_config, alpha, mc) == want
         pids = lane_pids()
         child = os.fork()
-        if child == 0:
+        if child == 0:  # starts as a fresh process: its first call is serial
             code = 2
             try:
-                ok = count_successes(ref_config, alpha, mc) == want
+                ok = (count_successes(ref_config, alpha, mc) == want
+                      and lane_pids() == []
+                      and count_successes(ref_config, alpha, mc) == want)
                 own = lane_pids()
                 noma_pop.montecarlo._drop_lanes()
                 code = 0 if ok and len(own) == 1 and own != pids else 1
@@ -441,6 +474,31 @@ class TestLanes:
         assert os.waitstatus_to_exitcode(status) == 0
         assert count_successes(ref_config, alpha, mc) == want
         assert lane_pids() == pids
+
+
+class TestCalibration:
+    """The oracle over a population of points. A bias too small to flag any
+    one point at |z| > 4 still moves the sum of many z, or of their squares:
+    Stouffer's sum(z) / sqrt(N) and (sum(z**2) - N) / sqrt(2 N) are about
+    standard normal when every z is."""
+
+    def test_population_z_is_standard_normal(self, config_factory):
+        rng = np.random.default_rng(1601)  # seeds chosen before any run
+        zs = []
+        for i in range(500):
+            config = config_factory(rng, rho_t_db=rng.uniform(40.0, 80.0))
+            alpha = rng.uniform(0.05, 0.95)
+            pop = pop_value(alpha, DerivedParams.from_config(config))
+            if not 1e-4 < pop < 1.0 - 1e-4:  # both outcomes seen
+                continue
+            mc = McConfig(trials=20_000, seed=point_seed(1602, i),
+                          chunk=20_000)  # one chunk: the caller's kernel
+            zs.append(check_point(config, alpha, pop, mc).z)
+        n = len(zs)
+        stouffer = sum(zs) / math.sqrt(n)
+        spread = (sum(z * z for z in zs) - n) / math.sqrt(2 * n)
+        assert n >= 100
+        assert abs(stouffer) < 4 and abs(spread) < 4, (n, stouffer, spread)
 
 
 class TestZScore:
