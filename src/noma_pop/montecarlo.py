@@ -61,7 +61,7 @@ class McConfig:
     def __post_init__(self):
         for name, low in (("trials", 1), ("seed", 0), ("chunk", 1)):
             value = getattr(self, name)
-            if not hasattr(type(value), "__index__"):  # as operator.index
+            if not hasattr(type(value), "__index__"):  # operator.index's test
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
@@ -117,7 +117,8 @@ def _count_chunks(d: DerivedParams, alpha: float, mc: McConfig, block: int,
     ``mc.chunk`` of them, and draws its gains from ``chunk_rng(mc.seed,
     idx)``, so its count depends only on its own substream.
     """
-    # each condition with its denominator cleared (see the module docstring)
+    # each condition c * g / (k * g + 1 / rho_t) > pi, with its positive
+    # denominator cleared: c * g > (pi * k) * g + pi / rho_t
     pis = (d.pi1, d.pi2)
     terms = [(user - 1, c, pis[message - 1] * k, pis[message - 1] / d.rho_t)
              for user, message, c, k in decode_terms(alpha, d.beta)]
@@ -231,7 +232,7 @@ def _forget_lanes() -> list[_Lane]:
     """Close this process's ends of the lanes and forget them; return them.
 
     Runs in every forked child, lane or not, so that a lane sees EOF once its
-    owner's ends close, and a child counts as a fresh process would.
+    owner's ends close, and so that the child's first call counts serially.
     """
     global _lanes, _counted
     lanes, _lanes, _counted = _lanes, [], False
@@ -264,10 +265,9 @@ if hasattr(os, "register_at_fork"):
 
 
 def _lanes_for(n_chunks: int) -> list[_Lane]:
-    """The lanes, besides the caller, that share a call's chunks: none where
-    the module docstring says a call counts serially (fork is unsafe while
-    other threads run, and the lanes serve one call at a time). A lane that
-    cannot be forked is left out."""
+    """The lanes besides the caller that share a call's chunks: none where the
+    module docstring says a call counts serially (fork is unsafe while other
+    threads run; lanes serve one call at a time), fewer if a fork fails."""
     if (not _counted or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1):
         return []
