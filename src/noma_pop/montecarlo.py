@@ -16,18 +16,17 @@ per call. A chunk that fits in one block draws both halves from the one
 generator, u2 right after u1: the same bits, without the second copy. The
 decode conditions are elementwise, so the count does not depend on BLOCK.
 
-On Linux a call with two or more chunks, unless it is the process's first,
-also uses the other CPUs the process may run on (L of them in all, from
-``os.sched_getaffinity``). Chunk ``i`` of the call goes to lane ``i mod L``:
-lane 0 is the caller, and each other lane is a process forked once, on first
-use, and kept for the life of the caller. A request names its chunks as a
-range of indices; requests and replies are pickled over a pipe pair per
-lane. The call's count is the sum of the lanes' integer chunk counts, which
-does not depend on how chunks are dealt, so every output is the same bytes
-as a serial run. A fork costs about 4 ms a lane, which only later calls
-repay. There is no option: a process's first call (a forked child's too), a
-single chunk, one CPU, a process running other Python threads (where fork
-is unsafe) and platforms without ``os.sched_getaffinity`` count serially.
+On Linux a call of two or more chunks and at least MIN_PARALLEL_TRIALS
+trials (MIN_FIRST_PARALLEL_TRIALS if it is the process's first) also uses
+the L CPUs the process may run on (``os.sched_getaffinity``): chunk ``i``
+goes to lane ``i mod L``. Lane 0 is the caller; each other lane is a process
+forked on first use and kept for the life of the caller, sent its chunks as
+a range of indices over a pipe pair. The count is the sum of the lanes'
+integer chunk counts, so every output is the same bytes as a serial run. A
+new lane may share the caller's CPU until the kernel moves it, so only a
+large first call repays the fork; a process that has counted is taken to
+count again. Other calls count serially, as do one CPU, other running Python
+threads (fork is unsafe then) and platforms without ``sched_getaffinity``.
 """
 
 from __future__ import annotations
@@ -48,6 +47,8 @@ from .analytic import pop_value
 from .model import DerivedParams, SystemConfig, decode_terms
 
 BLOCK = 16_384  # trials per slice of a chunk; its workspace stays in cache
+MIN_PARALLEL_TRIALS = 500_000  # smallest call that shares out its chunks
+MIN_FIRST_PARALLEL_TRIALS = 10_000_000  # the same for a process's first call
 
 
 @dataclass(frozen=True)
@@ -151,8 +152,7 @@ def _count_chunks(d: DerivedParams, alpha: float, mc: McConfig, block: int,
 
 @dataclass(frozen=True)
 class _Lane:
-    """A lane process: its pid, the write end of its request pipe and the
-    read end of its reply pipe."""
+    """A lane's pid, request pipe write end and reply pipe read end."""
 
     pid: int
     requests: BinaryIO
@@ -232,7 +232,7 @@ def _forget_lanes() -> list[_Lane]:
     """Close this process's ends of the lanes and forget them; return them.
 
     Runs in every forked child, lane or not, so that a lane sees EOF once its
-    owner's ends close, and so that the child's first call counts serially.
+    owner's ends close, and so that the child's next call is its first.
     """
     global _lanes, _counted
     lanes, _lanes, _counted = _lanes, [], False
@@ -244,11 +244,9 @@ def _forget_lanes() -> list[_Lane]:
 
 
 def _drop_lanes() -> None:
-    """Kill, forget and reap the lanes.
-
-    Runs at exit, and whenever a call fails: requests may be in flight, whose
-    replies would otherwise pair with the next call's requests.
-    """
+    """Kill, forget and reap the lanes. Runs at exit, and whenever a call
+    fails: requests may be in flight, whose replies would otherwise pair
+    with the next call's requests."""
     if _lanes:  # else exit would load signal for nothing
         import signal
         for lane in _lanes:
@@ -264,11 +262,12 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_lanes)
 
 
-def _lanes_for(n_chunks: int) -> list[_Lane]:
+def _lanes_for(trials: int, n_chunks: int) -> list[_Lane]:
     """The lanes besides the caller that share a call's chunks: none where the
-    module docstring says a call counts serially (fork is unsafe while other
-    threads run; lanes serve one call at a time), fewer if a fork fails."""
-    if (not _counted or not hasattr(os, "sched_getaffinity")
+    module docstring says a call counts serially (lanes serve one call at a
+    time, so not while other threads run), fewer if a fork fails."""
+    least = MIN_PARALLEL_TRIALS if _counted else MIN_FIRST_PARALLEL_TRIALS
+    if (trials < least or not hasattr(os, "sched_getaffinity")
             or threading.active_count() > 1):
         return []
     wanted = min(len(os.sched_getaffinity(0)), n_chunks) - 1
@@ -295,7 +294,7 @@ def count_successes(config: SystemConfig, alpha: float, mc: McConfig) -> int:
     d = DerivedParams.from_config(config)
     block = min(BLOCK, mc.chunk, mc.trials)
     chunks = range(-(-mc.trials // mc.chunk))
-    lanes = _lanes_for(len(chunks))
+    lanes = _lanes_for(mc.trials, len(chunks))
     n = len(lanes) + 1  # with no lanes, the caller counts every chunk
     try:
         for i, lane in enumerate(lanes, 1):

@@ -24,6 +24,8 @@ from noma_pop import (
 import noma_pop.montecarlo
 from noma_pop.montecarlo import (
     BLOCK,
+    MIN_FIRST_PARALLEL_TRIALS,
+    MIN_PARALLEL_TRIALS,
     _count_chunks,
     check_point,
     chunk_rng,
@@ -291,9 +293,10 @@ class TestLanes:
 
     @pytest.mark.parametrize("cpus, trials, chunk, warm", [
         (1, 1_000_000, 250_000, True),
-        (2, 1_000_000, 250_000, False),
+        (2, MIN_PARALLEL_TRIALS - 1, 100_000, True),
+        (2, MIN_FIRST_PARALLEL_TRIALS - 1, 2_500_000, False),
         (2, 1_000_000, 1_000_000, True),
-    ], ids=["one_cpu", "first_call", "one_chunk"])
+    ], ids=["one_cpu", "below_threshold", "first_call", "one_chunk"])
     def test_serial_calls_never_fork(self, fresh_lanes, monkeypatch,
                                      ref_config, cpus, trials, chunk, warm):
         fresh_lanes(cpus)
@@ -303,6 +306,14 @@ class TestLanes:
         mc = McConfig(trials=trials, seed=5, chunk=chunk)
         count_successes(ref_config, 0.5, mc)
         assert forks == [] and lane_pids() == []
+
+    def test_large_first_call_starts_lanes(self, fresh_lanes, ref_config):
+        fresh_lanes(2)
+        mc = McConfig(trials=MIN_FIRST_PARALLEL_TRIALS, seed=5,
+                      chunk=MIN_FIRST_PARALLEL_TRIALS // 4)
+        with deadline(60):
+            count_successes(ref_config, 0.5, mc)
+        assert len(lane_pids()) == 1
 
     def test_other_threads_keep_the_call_serial(self, fresh_lanes,
                                                 monkeypatch, ref_config):
