@@ -16,6 +16,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -78,11 +79,12 @@ class Experiment:
 
 @dataclass
 class ResultTable:
-    """Ordered result rows, whose keys are the columns, plus derived summary
-    values for the footer."""
+    """Ordered result rows, whose keys are the columns, summary values for
+    the footer, and the ``failure`` of a check that ran and failed."""
 
     rows: list[dict]
     summary: dict | None = None
+    failure: str | None = None
 
 
 def _pop_case(alpha: float, derived: DerivedParams) -> dict:
@@ -138,7 +140,7 @@ def run_validate_mc(exp: Experiment) -> ResultTable:
     """Analytic-vs-Monte-Carlo comparison over a split grid.
 
     The summary reports the largest |z| and how many points exceed the flag
-    threshold; the CLI turns any flagged point into a validation failure.
+    threshold; any flagged point is a validation failure.
     """
     grid = [float(a) for a in exp.values()]
     if exp.mc is None:
@@ -146,9 +148,10 @@ def run_validate_mc(exp: Experiment) -> ResultTable:
     report = validate(exp.base, grid, exp.mc)
     rows = [dataclasses.asdict(r) for r in report]
     abs_z = [abs(r.z) for r in report]
-    summary = {"max_abs_z": max(abs_z),
-               "flagged": sum(1 for z in abs_z if z > Z_FLAG)}
-    return ResultTable(rows, summary)
+    flagged = sum(1 for z in abs_z if z > Z_FLAG)
+    return ResultTable(rows, {"max_abs_z": max(abs_z), "flagged": flagged},
+                       f"{flagged} point(s) with |z| > {Z_FLAG}"
+                       if flagged else None)
 
 
 def _pop_body(args: argparse.Namespace, config: SystemConfig,
@@ -174,14 +177,37 @@ def _optimize_body(args: argparse.Namespace, config: SystemConfig,
         "feasible": int(c.feasible),
         "pop": c.pop if c.pop is not None else "",
     } for c in candidates]
-    summary = {"alpha_star": alpha_star, "pop_star": pop_star}
+    table = ResultTable(rows, {"alpha_star": alpha_star, "pop_star": pop_star})
     if args.check:
         grid_alpha, grid_pop = grid_oracle(config)
-        summary.update(grid_alpha=grid_alpha, grid_pop=grid_pop)
-        summary["check_ok"] = int(
-            grid_min_near(config, alpha_star, grid_pop)
-            and pop_star <= grid_pop * (1.0 + 8.0 * sys.float_info.epsilon))
-    return ResultTable(rows, summary)
+        ok = (grid_min_near(config, alpha_star, grid_pop)
+              and pop_star <= grid_pop * (1.0 + 8.0 * sys.float_info.epsilon))
+        table.summary.update(grid_alpha=grid_alpha, grid_pop=grid_pop,
+                             check_ok=int(ok))
+        if not ok:
+            table.failure = "closed-form optimum disagrees with the grid search"
+    return table
+
+
+def _sweep_rows(exp: Experiment, echo: tuple[str, ...],
+                metrics: Callable[[SystemConfig], dict],
+                footer: Callable[[list], dict] | None = None) -> ResultTable:
+    """One row per swept value: the config fields ``echo``, then ``metrics``
+    of that config and, with ``exp.mc``, the MC columns at the equal split;
+    ``footer`` makes the summary from the rows."""
+    fields = COMMANDS[exp.kind].axes[exp.axis]
+    rows = []
+    for i, value in enumerate(exp.values()):
+        config = dataclasses.replace(exp.base, pt_dbm=None, noise_dbm=None,
+                                     **dict.fromkeys(fields, float(value)))
+        row = {name: getattr(config, name) for name in echo}
+        row.update(metrics(config))
+        if exp.mc is not None:
+            mc = dataclasses.replace(exp.mc, seed=point_seed(exp.mc.seed, i))
+            check = check_point(config, EPA_ALPHA, row["pop"], mc)
+            row.update(mc_pop=check.mc_pop, std_err=check.std_err, z=check.z)
+        rows.append(row)
+    return ResultTable(rows, footer(rows) if footer else None)
 
 
 @dataclass(frozen=True)
@@ -192,9 +218,7 @@ class Command:
     arguments. A sweep runs as an ``Experiment``: ``axes`` and the config
     fields each sets, the ``--var`` default ``var`` if there are several,
     the default start/stop/count ``sweep``, a bound check (``reject``:
-    failing test, error), and a ``runner`` of its own or, for the loop in
-    ``run``, ``echo`` fields, row ``metrics`` (MC columns follow with
-    ``--with-mc``) and ``footer``."""
+    failing test, error), and the ``runner`` building its table."""
 
     help: str
     flags: tuple[tuple[str, dict], ...] = ()
@@ -204,9 +228,6 @@ class Command:
     sweep: tuple[float, float, int] | None = None
     start_help: str | None = None
     reject: tuple[Callable[[Experiment], bool], str] | None = None
-    echo: tuple[str, ...] = ()
-    metrics: Callable[[SystemConfig], dict] | None = None
-    footer: Callable[[list[dict]], dict] | None = None
     runner: Callable[[Experiment], ResultTable] | None = None
 
 
@@ -248,18 +269,21 @@ COMMANDS = {
         var="r_th_both", sweep=(0.05, 0.5, 10),
         reject=(lambda exp: exp.start <= 0,
                 "threshold rates must be positive"),
-        echo=("r1_th", "r2_th", "rho_t_db"), metrics=_epa_metrics,
+        runner=partial(_sweep_rows, echo=("r1_th", "r2_th", "rho_t_db"),
+                       metrics=_epa_metrics),
         flags=WITH_MC),
     "sweep-snr": Command(
         "POP versus transmit SNR", axes={"rho_t_db": ("rho_t_db",)},
-        sweep=(40.0, 80.0, 9), echo=("rho_t_db",), metrics=_epa_metrics),
+        sweep=(40.0, 80.0, 9),
+        runner=partial(_sweep_rows, echo=("rho_t_db",), metrics=_epa_metrics)),
     "compare": Command(
         "optimal vs equal vs fixed allocation", axes={"d2": ("d2",)},
         sweep=(60.0, 200.0, 15),
         start_help="far-user distance sweep start (m)",
         reject=(lambda exp: exp.start < exp.base.d1,
                 "far-user distance cannot drop below d1"),
-        echo=("d2",), metrics=_scheme_metrics, footer=_scheme_improvements),
+        runner=partial(_sweep_rows, echo=("d2",), metrics=_scheme_metrics,
+                       footer=_scheme_improvements)),
     "validate-mc": Command(
         "Monte Carlo validation of the closed form", axes={"alpha": ()},
         sweep=(0.1, 0.9, 25),
@@ -269,23 +293,8 @@ COMMANDS = {
 
 
 def run(exp: Experiment) -> ResultTable:
-    """Run a sweep as its subcommand's entry in ``COMMANDS`` says."""
-    spec = COMMANDS[exp.kind]
-    if spec.runner is not None:
-        return spec.runner(exp)
-    fields = spec.axes[exp.axis]
-    rows = []
-    for i, value in enumerate(exp.values()):
-        config = dataclasses.replace(exp.base, pt_dbm=None, noise_dbm=None,
-                                     **dict.fromkeys(fields, float(value)))
-        row = {name: getattr(config, name) for name in spec.echo}
-        row.update(spec.metrics(config))
-        if exp.mc is not None:
-            mc = dataclasses.replace(exp.mc, seed=point_seed(exp.mc.seed, i))
-            check = check_point(config, EPA_ALPHA, row["pop"], mc)
-            row.update(mc_pop=check.mc_pop, std_err=check.std_err, z=check.z)
-        rows.append(row)
-    return ResultTable(rows, spec.footer(rows) if spec.footer else None)
+    """Run a sweep with its subcommand's runner in ``COMMANDS``."""
+    return COMMANDS[exp.kind].runner(exp)
 
 
 # --------------------------------------------------------------------------
@@ -423,14 +432,9 @@ def _dispatch(args: argparse.Namespace) -> int:
         sys.stdout.write(text)
     else:
         Path(args.out).write_text(text)
-    summary = table.summary or {}
-    if summary.get("flagged", 0) > 0:
-        failure = f"{summary['flagged']} point(s) with |z| > {Z_FLAG}"
-    elif summary.get("check_ok") == 0:
-        failure = "closed-form optimum disagrees with the grid search"
-    else:
+    if table.failure is None:
         return EXIT_OK
-    print(f"validation failure: {failure}", file=sys.stderr)
+    print(f"validation failure: {table.failure}", file=sys.stderr)
     return EXIT_VALIDATION_FAILURE
 
 
@@ -452,7 +456,3 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}",
               file=sys.stderr)
         return EXIT_INVALID_INPUT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

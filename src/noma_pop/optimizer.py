@@ -79,15 +79,14 @@ def candidate_set(derived: DerivedParams) -> tuple[Candidate, ...]:
     sitting exactly on a boundary is valued consistently.
     """
     intervals = case_intervals(derived)
-    bp = derived.breakpoints
     r2 = stationary_roots(derived, Case.CASE2) + (None,)
     r3 = stationary_roots(derived, Case.CASE3) + (None,)
-    rows = (("alpha_c1", Case.CASE1, min(bp.alpha2, bp.alpha5)),
+    rows = (("alpha_c1", Case.CASE1, intervals[Case.CASE1][1]),
             ("alpha_r1", Case.CASE2, r2[0]),
             ("alpha_r2", Case.CASE2, r2[1]),
             ("alpha_r3", Case.CASE3, r3[0]),
             ("alpha_r4", Case.CASE3, r3[1]),
-            ("alpha_c2", Case.CASE4, max(bp.alpha2, bp.alpha5)))
+            ("alpha_c2", Case.CASE4, intervals[Case.CASE4][0]))
     candidates = []
     for name, case, alpha in rows:
         lo, hi = intervals[case]

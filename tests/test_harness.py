@@ -216,6 +216,31 @@ class TestRunners:
         table = run_validate_mc(exp)
         assert table.summary["flagged"] > 0
 
+    def test_validate_mc_failure_names_the_flagged_points(self, monkeypatch,
+                                                          ref_config):
+        exp = Experiment("validate-mc", ref_config,
+                         "alpha", 0.3, 0.7, 3,
+                         mc=McConfig(trials=100_000, seed=11, chunk=50_000))
+        clean = run(exp)
+        assert clean.summary["flagged"] == 0 and clean.failure is None
+        monkeypatch.setattr(noma_pop.montecarlo, "pop_value",
+                            lambda a, d: min(1.0, pop_value(a, d) + 0.05))
+        table = run(exp)
+        assert table.summary["flagged"] > 0
+        assert table.failure == (f"{table.summary['flagged']} point(s) "
+                                 "with |z| > 4.0")
+
+    @pytest.mark.parametrize("kind, axis, start, stop", [
+        ("sweep-alpha", "alpha", 0.1, 0.9),
+        ("sweep-threshold", "r_th_both", 0.05, 0.5),
+        ("sweep-snr", "rho_t_db", 40.0, 80.0),
+        ("compare", "d2", 60.0, 200.0),
+    ])
+    def test_sweeps_without_a_check_never_fail(self, ref_config, kind, axis,
+                                                start, stop):
+        assert run(Experiment(kind, ref_config, axis, start, stop,
+                              3)).failure is None
+
     def test_validate_mc_requires_mc(self, ref_config):
         with pytest.raises(ValueError):
             run(Experiment("validate-mc", ref_config,
@@ -404,6 +429,22 @@ class TestCli:
         assert lines[1] == "alpha,pop,case,is_alpha_star"
         assert len(lines) >= 11  # header comment + columns + 9 rows + star
 
+    def test_sweep_alpha_in_certain_outage_marks_no_optimum(self, tmp_path,
+                                                            capsys):
+        # pi1 * pi2 = 1: no split escapes outage, so there is no optimum
+        path = write_config(tmp_path, "r1_th = 1\nr2_th = 1\n")
+        assert main(["sweep-alpha", "--count", "5", "--config",
+                     path]) == EXIT_OK
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert lines[1:] == ["alpha,pop,case,is_alpha_star",
+                             "0.1,1.0,Case5,0",
+                             "0.30000000000000004,1.0,Case5,0",
+                             "0.5,1.0,Case5,0",
+                             "0.7000000000000001,1.0,Case5,0",
+                             "0.9,1.0,Case5,0"]
+        assert captured.err == ""
+
     def test_compare_json(self, tmp_path):
         out = tmp_path / "cmp.json"
         assert main(["compare", "--count", "5", "--format", "json",
@@ -459,6 +500,22 @@ class TestSweepBounds:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    # each pair of bounds lies inside its subcommand's domain
+    @pytest.mark.parametrize("command, start, stop", [
+        ("sweep-alpha", "0.8", "0.2"),
+        ("sweep-threshold", "0.5", "0.1"),
+        ("sweep-snr", "80", "40"),
+        ("compare", "200", "60"),
+        ("validate-mc", "0.8", "0.2"),
+    ])
+    def test_cli_rejects_start_above_stop(self, capsys, command, start, stop):
+        mc = FAST if command == "validate-mc" else []
+        args = [command, "--start", start, "--stop", stop] + mc
+        assert main(args) == EXIT_INVALID_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sweep start must not exceed stop\n"
 
 
 class TestOptimizeCheck:

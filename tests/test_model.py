@@ -269,6 +269,11 @@ class TestSystemConfig:
         derived = DerivedParams.from_config(cfg)
         assert derived.lambda1 == derived.lambda2
 
+    def test_path_loss_exponent_positive(self):
+        with pytest.raises(ValueError,
+                           match="path_loss_exponent must be positive"):
+            dataclasses.replace(reference_config(), path_loss_exponent=0.0)
+
     def test_threshold_rates_positive(self):
         with pytest.raises(ValueError):
             SystemConfig(d1=50, d2=100, path_loss_constant=1,
@@ -309,6 +314,12 @@ class TestSystemConfig:
                                      noise_dbm=None, **{field: value})
         with pytest.raises(ValueError, match=message):
             DerivedParams.from_config(config)
+
+    def test_derived_params_keep_the_near_user_stronger(self, ref_derived):
+        with pytest.raises(ValueError,
+                           match="near user must have the larger mean gain"):
+            dataclasses.replace(ref_derived, lambda1=ref_derived.lambda2,
+                                lambda2=ref_derived.lambda1)
 
     def test_derived_params(self, ref_config, ref_derived):
         assert ref_derived.pi1 == sinr_threshold(ref_config.r1_th)

@@ -388,6 +388,24 @@ class TestLanes:
             assert count_successes(ref_config, alpha, mc) == want
         assert len(lane_pids()) == 1 and lane_pids() != [pid]
 
+    def test_reaped_lane_fails_the_send_and_is_replaced(self, fresh_lanes,
+                                                        ref_config):
+        fresh_lanes(2)
+        warm_up(ref_config)
+        alpha, mc, want = PINNED_LANES
+        assert count_successes(ref_config, alpha, mc) == want
+        (pid,) = lane_pids()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)  # its end of the request pipe is closed now
+        with deadline(60), pytest.raises(
+                RuntimeError, match=f"Monte Carlo lane {pid} exited") as info:
+            count_successes(ref_config, alpha, mc)
+        assert isinstance(info.value.__cause__, BrokenPipeError)
+        assert lane_pids() == []
+        with deadline(60):
+            assert count_successes(ref_config, alpha, mc) == want
+        assert len(lane_pids()) == 1 and lane_pids() != [pid]
+
     def test_lane_exception_is_raised_in_the_caller(self, fresh_lanes,
                                                     monkeypatch, ref_config):
         fresh_lanes(2)
