@@ -21,7 +21,7 @@ trials (MIN_FIRST_PARALLEL_TRIALS if it is the process's first) also uses
 the L CPUs the process may run on (``os.sched_getaffinity``): chunk ``i``
 goes to lane ``i mod L``. Lane 0 is the caller; each other lane is a process
 forked on first use and kept for the life of the caller, sent its chunks as
-a range of indices over a pipe pair. The count is the sum of the lanes'
+a range of indices over a socket pair. The count is the sum of the lanes'
 integer chunk counts, so every output is the same bytes as a serial run. A
 new lane may share the caller's CPU until the kernel moves it, so only a
 large first call repays the fork; a process that has counted is taken to
@@ -152,36 +152,35 @@ def _count_chunks(d: DerivedParams, alpha: float, mc: McConfig, block: int,
 
 @dataclass(frozen=True)
 class _Lane:
-    """A lane's pid, request pipe write end and reply pipe read end."""
+    """A lane's pid and the owner's end of its socket pair, as a file."""
 
     pid: int
-    requests: BinaryIO
-    replies: BinaryIO
+    end: BinaryIO
 
     def send(self, job: tuple) -> None:
         try:
-            pickle.dump(job, self.requests)
-            self.requests.flush()
+            pickle.dump(job, self.end)
+            self.end.flush()
         except OSError as exc:
-            raise RuntimeError(f"Monte Carlo lane {self.pid} exited") from exc
+            raise ConnectionError(f"Monte Carlo lane {self.pid} exited") from exc
 
     def receive(self) -> tuple[bool, object]:
         try:
-            return pickle.load(self.replies)
+            return pickle.load(self.end)
         except (EOFError, OSError, pickle.UnpicklingError) as exc:
-            raise RuntimeError(f"Monte Carlo lane {self.pid} exited") from exc
+            raise ConnectionError(f"Monte Carlo lane {self.pid} exited") from exc
 
 
 _lanes: list[_Lane] = []  # lane processes 1, 2, ... of this process
 _counted = False  # whether this process has called count_successes
 
 
-def _serve(requests, replies) -> None:
-    """Lane loop: count each job read from ``requests`` and write back
+def _serve(end) -> None:
+    """Lane loop: count each job read from ``end`` and write back to it
     (True, count), or (False, the exception it raised)."""
     while True:
         try:
-            job = pickle.load(requests)
+            job = pickle.load(end)
         except EOFError:  # the owner closed its end or exited
             return
         try:
@@ -192,40 +191,32 @@ def _serve(requests, replies) -> None:
             data = pickle.dumps(reply)
         except Exception:  # an exception that does not pickle
             data = pickle.dumps((False, RuntimeError(repr(reply[1]))))
-        replies.write(data)
-        replies.flush()
+        end.write(data)
+        end.flush()
 
 
 def _fork_lane() -> _Lane:
     """Fork one lane process serving `_serve` until its requests end."""
-    import signal  # loaded only by a process that starts lanes
-    fds: list[int] = []
-    try:
-        fds += os.pipe()
-        fds += os.pipe()
+    import signal, socket  # loaded only by a process that starts lanes
+    ours, theirs = socket.socketpair()
+    # each process closes the end it does not use; ours lives on in its file
+    with ours, theirs:
+        for sock in (ours, theirs):  # block, whatever the default timeout
+            sock.settimeout(None)
         pid = os.fork()
-    except OSError:
-        for fd in fds:
-            os.close(fd)
-        raise
-    req_r, req_w, rep_r, rep_w = fds
-    if pid == 0:
-        code = 1
-        try:
-            # Ctrl-C reaches the caller, which stops the lanes itself
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            os.close(req_w)
-            os.close(rep_r)
-            with open(req_r, "rb") as requests, open(rep_w, "wb") as replies:
-                _serve(requests, replies)
-            code = 0
-        finally:
-            # never return into the owner's code, flush its stdio buffers or
-            # run its exit handlers
-            os._exit(code)
-    os.close(req_r)
-    os.close(rep_w)
-    return _Lane(pid, open(req_w, "wb"), open(rep_r, "rb"))
+        if pid == 0:
+            code = 1
+            try:
+                # Ctrl-C reaches the caller, which stops the lanes itself
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                ours.close()
+                _serve(theirs.makefile("rwb"))
+                code = 0
+            finally:
+                # never return into the owner's code, flush its stdio buffers
+                # or run its exit handlers
+                os._exit(code)
+        return _Lane(pid, ours.makefile("rwb"))
 
 
 def _forget_lanes() -> list[_Lane]:
@@ -237,9 +228,8 @@ def _forget_lanes() -> list[_Lane]:
     global _lanes, _counted
     lanes, _lanes, _counted = _lanes, [], False
     for lane in lanes:
-        for end in (lane.requests, lane.replies):
-            with contextlib.suppress(OSError):  # unsent bytes, lane gone
-                end.close()
+        with contextlib.suppress(OSError):  # unsent bytes, lane gone
+            lane.end.close()
     return lanes
 
 
@@ -276,7 +266,7 @@ def _lanes_for(trials: int, n_chunks: int) -> list[_Lane]:
     while len(_lanes) < wanted:
         try:
             _lanes.append(_fork_lane())
-        except OSError:  # no process or pipe to spare: use the lanes there are
+        except OSError:  # no process or socket left: use the lanes there are
             break
     return _lanes[:wanted]
 

@@ -6,11 +6,12 @@ The global minimizer therefore lives in the paper's six-point candidate set:
 the two corner points where the monotone pieces end, plus two stationary
 points each of the case-2 and case-3 pieces. Each piece's slope vanishes
 where its two binding exponent terms balance, D_a / D_b = +-r, and each sign
-has one closed-form root (``stationary_roots``). ``candidate_set`` builds
-the six candidates from one table and marks the feasible ones; ``optimize``
-returns their argmin. An exhaustive grid search at ``GRID_STEP`` is kept
-alongside as an independent oracle: ``optimize --check`` and the tests run
-it.
+has one closed-form root (``stationary_roots``); in an interval only a few
+doubles wide, the best double takes the root's place. ``candidate_set``
+builds the six candidates from one table and marks the feasible ones;
+``optimize`` returns their argmin. An exhaustive grid search at
+``GRID_STEP`` is kept alongside as an independent oracle: ``optimize
+--check`` and the tests run it.
 """
 
 from __future__ import annotations
@@ -24,6 +25,11 @@ from .analytic import Case, case_intervals, pop_curve, pop_value
 from .model import DerivedParams, SystemConfig
 
 GRID_STEP = 1e-5  # resolution of grid_oracle and grid_min_near
+# A case-2 or case-3 interval of at most this many doubles is searched double
+# by double: there its root can round onto an end or off the best double, and
+# all 4,096 POP values cost about 0.2 ms, a few optimize calls. The root's
+# rounding moves it a few ulps, so a wider interval keeps the root.
+SCAN_DOUBLES = 4_096
 
 
 class NoFeasibleAllocationError(RuntimeError):
@@ -55,6 +61,21 @@ def stationary_roots(derived: DerivedParams, case: Case) -> tuple[float, ...]:
     return (plus,) if den == 0.0 else (plus, (k * pi1 - r) / den)
 
 
+def _best_double(derived: DerivedParams, interval: tuple[float, float],
+                 root: float) -> float:
+    """The double of least POP (the smallest on ties) strictly inside
+    ``interval`` and (0, 1), where there are 1 to SCAN_DOUBLES of them;
+    ``root`` otherwise."""
+    # positive doubles order like their bit patterns
+    ends = np.array([max(interval[0], 0.0), min(interval[1], 1.0)])
+    lo, hi = ends.view(np.int64).tolist()
+    if not 0 < hi - lo - 1 <= SCAN_DOUBLES:
+        return root
+    alphas = np.arange(lo + 1, hi, dtype=np.int64).view(np.float64)
+    values, _ = pop_curve(alphas, derived)
+    return float(alphas[np.argmin(values)])
+
+
 class Candidate(NamedTuple):
     """One candidate split with its provenance and feasibility verdict."""
 
@@ -73,18 +94,21 @@ def candidate_set(derived: DerivedParams) -> tuple[Candidate, ...]:
     piece's interval is nonempty; a stationary point counts only strictly
     inside its case interval. Both must lie in (0, 1). alpha_r1 (case 2) and
     alpha_r3 (case 3) hold the alpha_plus roots, the only ones that can be
-    feasible; alpha_r2 and alpha_r4 hold alpha_minus, never feasible but
-    kept so the table lists the paper's six candidates. POP is evaluated
-    through the full max-zeta form, never a fixed-case formula, so a corner
-    sitting exactly on a boundary is valued consistently.
+    feasible, or the best double of an interval of at most SCAN_DOUBLES;
+    alpha_r2 and alpha_r4 hold alpha_minus, never feasible but kept so the
+    table lists the paper's six candidates. POP is evaluated through the
+    full max-zeta form, never a fixed-case formula, so a corner sitting
+    exactly on a boundary is valued consistently.
     """
     intervals = case_intervals(derived)
     r2 = stationary_roots(derived, Case.CASE2) + (None,)
     r3 = stationary_roots(derived, Case.CASE3) + (None,)
     rows = (("alpha_c1", Case.CASE1, intervals[Case.CASE1][1]),
-            ("alpha_r1", Case.CASE2, r2[0]),
+            ("alpha_r1", Case.CASE2,
+             _best_double(derived, intervals[Case.CASE2], r2[0])),
             ("alpha_r2", Case.CASE2, r2[1]),
-            ("alpha_r3", Case.CASE3, r3[0]),
+            ("alpha_r3", Case.CASE3,
+             _best_double(derived, intervals[Case.CASE3], r3[0])),
             ("alpha_r4", Case.CASE3, r3[1]),
             ("alpha_c2", Case.CASE4, intervals[Case.CASE4][0]))
     candidates = []

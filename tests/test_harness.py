@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,13 +30,22 @@ from noma_pop.harness import (
 
 FAST = ["--trials", "50000", "--chunk", "25000", "--seed", "7"]
 # runs the CLI as the console script does, then writes its lane pids to
-# argv[1]; with argv[2] == "serial" it keeps to one CPU, so it starts none
+# argv[1]; with argv[2] == "serial" it keeps to one CPU, so it starts none;
+# with "lost" it takes two CPUs, and each lane dies at its first draw
 LANE_RUN = """
 import os, sys
 from noma_pop import montecarlo
 from noma_pop.harness import main
 if sys.argv[2] == "serial":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+if sys.argv[2] == "lost":
+    owner, draw = os.getpid(), montecarlo.sample_gains
+    def die_in_lane(*args, **kwargs):
+        if os.getpid() != owner:
+            os._exit(1)
+        return draw(*args, **kwargs)
+    montecarlo.sample_gains = die_in_lane
+    os.sched_getaffinity = lambda pid: {0, 1}
 code = main(sys.argv[3:])
 with open(sys.argv[1], "w") as f:
     f.write(" ".join(str(lane.pid) for lane in montecarlo._lanes))
@@ -321,8 +331,12 @@ class TestCli:
         # reaches 1.05e-5
         ("r1_th = 0.2010005802519678\nr2_th = 2.942828442025463\n"
          "rho_t_db = 200\n", ["optimize"], EXIT_OK),
+        # pi1 * pi2 = 1 - 5.0e-12: alpha_plus rounds onto alpha3, yet the
+        # case-3 interval holds 83 doubles, the best at POP 0.669
+        ("r1_th = 9.062356481210534\nr2_th = 0.0027010952464733675\n"
+         "rho_t_db = 200\n", ["optimize"], EXIT_OK),
     ], ids=["pop-beta-1-ulp", "optimize-r1-60", "optimize-sliver",
-            "optimize-near-one"])
+            "optimize-near-one", "optimize-few-doubles"])
     def test_exit_code_follows_threshold_product(self, tmp_path, capsys,
                                                  text, command, code):
         path = write_config(tmp_path, text)
@@ -401,6 +415,19 @@ class TestCli:
             for pid in pids:
                 with pytest.raises(ProcessLookupError):
                     os.kill(pid, 0)
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                        reason="lanes run only where the affinity is known")
+    def test_lost_lane_is_one_error_line(self, tmp_path):
+        src = Path(noma_pop.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", LANE_RUN, str(tmp_path / "lanes"), "lost",
+             "validate-mc", "--count", "3"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_INVALID_INPUT
+        assert re.fullmatch(r"error: Monte Carlo lane \d+ exited\n",
+                            proc.stderr), proc.stderr
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="lanes run only where the affinity is known")

@@ -5,7 +5,9 @@ import dataclasses
 import math
 import os
 import signal
+import socket
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -332,7 +334,7 @@ class TestLanes:
         assert not other.is_alive()
         assert forks == [] and lane_pids() == []
 
-    def test_failed_fork_counts_serially_and_closes_its_pipes(
+    def test_failed_fork_counts_serially_and_closes_its_sockets(
             self, fresh_lanes, monkeypatch, ref_config):
         fresh_lanes(2)
         warm_up(ref_config)
@@ -381,7 +383,7 @@ class TestLanes:
         assert count_successes(ref_config, alpha, mc) == want
         (pid,) = lane_pids()
         os.kill(pid, signal.SIGKILL)
-        with deadline(60), pytest.raises(RuntimeError, match="lane"):
+        with deadline(60), pytest.raises(ConnectionError, match="lane"):
             count_successes(ref_config, alpha, mc)
         assert lane_pids() == [] and is_gone(pid)
         with deadline(60):
@@ -396,9 +398,10 @@ class TestLanes:
         assert count_successes(ref_config, alpha, mc) == want
         (pid,) = lane_pids()
         os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)  # its end of the request pipe is closed now
+        os.waitpid(pid, 0)  # its end of the socket pair is closed now
         with deadline(60), pytest.raises(
-                RuntimeError, match=f"Monte Carlo lane {pid} exited") as info:
+                ConnectionError,
+                match=f"Monte Carlo lane {pid} exited") as info:
             count_successes(ref_config, alpha, mc)
         assert isinstance(info.value.__cause__, BrokenPipeError)
         assert lane_pids() == []
@@ -427,6 +430,29 @@ class TestLanes:
                 count_successes(ref_config, alpha, mc)
             assert len(lane_pids()) == 1
 
+    def test_lanes_ignore_the_default_socket_timeout(self, fresh_lanes,
+                                                     monkeypatch, ref_config):
+        fresh_lanes(2)
+        warm_up(ref_config)
+        owner = os.getpid()
+
+        def slow_in_lane(*args, **kwargs):
+            if os.getpid() != owner:
+                time.sleep(0.01)
+            return sample_gains(*args, **kwargs)
+
+        # patched before the lane forks, so the lane runs it too
+        monkeypatch.setattr(noma_pop.montecarlo, "sample_gains", slow_in_lane)
+        previous = socket.getdefaulttimeout()
+        socket.setdefaulttimeout(0.001)  # far shorter than a lane's reply
+        try:
+            alpha, mc, want = PINNED_LANES
+            with deadline(60):
+                assert count_successes(ref_config, alpha, mc) == want
+        finally:
+            socket.setdefaulttimeout(previous)
+        assert len(lane_pids()) == 1
+
     def test_lanes_ignore_sigint(self, fresh_lanes, ref_config):
         fresh_lanes(2)
         warm_up(ref_config)
@@ -438,8 +464,8 @@ class TestLanes:
             assert count_successes(ref_config, alpha, mc) == want
         assert lane_pids() == pids
 
-    def test_lane_exits_once_its_request_pipe_closes(self, fresh_lanes,
-                                                     ref_config):
+    def test_lane_exits_once_the_owner_end_closes(self, fresh_lanes,
+                                                   ref_config):
         fresh_lanes(4)
         warm_up(ref_config)
         mc = McConfig(trials=1_000_000, seed=17, chunk=250_000)
@@ -447,7 +473,7 @@ class TestLanes:
         first = noma_pop.montecarlo._lanes[0]
         # as at the owner's exit; the later lanes, forked while this end was
         # open in the owner, must not hold it open
-        first.requests.close()
+        first.end.close()
         with deadline(60):
             _, status = os.waitpid(first.pid, 0)
         assert os.waitstatus_to_exitcode(status) == 0
@@ -469,7 +495,7 @@ class TestLanes:
         os.close(release_r)
         try:
             # as when the owner ends without running its exit handler
-            first.requests.close()
+            first.end.close()
             with deadline(10):
                 _, status = os.waitpid(first.pid, 0)
             assert os.waitstatus_to_exitcode(status) == 0

@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from noma_pop import (
@@ -34,11 +34,13 @@ from noma_pop import (
     sinrs,
 )
 from noma_pop import montecarlo
+from noma_pop.analytic import Case, case_intervals
 from noma_pop.harness import (
     EXIT_INVALID_INPUT, EXIT_NO_FEASIBLE_ALLOCATION, EXIT_OK,
     EXIT_VALIDATION_FAILURE, Experiment, load_config, main)
 from noma_pop.montecarlo import (
     BLOCK, _count_chunks, chunk_rng, count_successes)
+from noma_pop.optimizer import SCAN_DOUBLES
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True,
                     database=None)
@@ -140,16 +142,17 @@ def test_no_feasible_split_exactly_when_threshold_product_reaches_one(
 
 
 @st.composite
-def near_one_configs(draw):
-    """Configs with pi1 * pi2 = 1 - eps, eps log-uniform over 1e-12..1e-8,
-    at 150-300 dB: the case-3 interval (alpha4, alpha3) is nonempty but
-    narrow."""
-    config = draw(configs())
-    eps = 10.0 ** draw(st.floats(min_value=-12.0, max_value=-8.0))
+def near_one_configs(draw, least_exponent=-12.0, db=(150.0, 300.0),
+                     beta=st.floats(min_value=0.0, max_value=1.0)):
+    """Configs with pi1 * pi2 = 1 - eps, eps log-uniform over
+    10**least_exponent..1e-8, at ``db`` dB: the case-3 interval
+    (alpha4, alpha3) is narrow, and nonempty unless eps is near one ulp."""
+    config = draw(configs(beta=beta))
+    eps = 10.0 ** draw(st.floats(min_value=least_exponent, max_value=-8.0))
     pi1 = 2.0 ** config.r1_th - 1.0
     return dataclasses.replace(
         config, r2_th=math.log2(1.0 + (1.0 - eps) / pi1),
-        rho_t_db=draw(st.floats(min_value=150.0, max_value=300.0)))
+        rho_t_db=draw(st.floats(min_value=db[0], max_value=db[1])))
 
 
 @PROPERTY
@@ -159,6 +162,32 @@ def test_optimum_exists_just_below_threshold_product_one(config):
     assert derived.pi1 * derived.pi2 < 1.0
     alpha_star, _, _ = optimize(config)
     assert 0.0 < alpha_star < 1.0
+
+
+def interval_doubles(interval):
+    """Every double strictly inside the interval, ascending."""
+    lo, hi = np.array(interval).view(np.int64)  # ordered like the doubles
+    return np.arange(lo + 1, hi, dtype=np.int64).view(np.float64)
+
+
+@PROPERTY
+@given(near_one_configs(least_exponent=-16.0, db=(200.0, 400.0),
+                        beta=st.sampled_from([0.0, 0.2, 1.0, 1.0 - 2**-53])))
+def test_optimize_exits_3_only_when_no_double_escapes_outage(config):
+    derived = DerivedParams.from_config(config)
+    assume(derived.pi1 * derived.pi2 < 1.0)
+    intervals = case_intervals(derived)
+    doubles = [interval_doubles(intervals[case])
+               for case in (Case.CASE2, Case.CASE3)]
+    assume(all(len(a) <= 10**6 for a in doubles))
+    pops, _ = pop_curve(np.concatenate(doubles), derived)
+    try:
+        _, pop_star, _ = optimize(config)
+    except NoFeasibleAllocationError:
+        assert not np.any(pops < 1.0)
+        return
+    if all(len(a) <= SCAN_DOUBLES for a in doubles):  # the best double
+        assert pop_star <= pops.min(initial=1.0)
 
 
 FIELDS = [f.name for f in dataclasses.fields(SystemConfig)]
