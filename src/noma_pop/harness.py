@@ -24,7 +24,6 @@ import numpy as np
 
 from . import __version__
 from . import analytic
-from .analytic import pop_value
 from .model import DerivedParams, SystemConfig, reference_config
 from .montecarlo import McConfig, check_point, point_seed, validate
 from .optimizer import (NoFeasibleAllocationError, grid_min_near,
@@ -100,8 +99,8 @@ def _scheme_metrics(config: SystemConfig) -> dict:
     derived = DerivedParams.from_config(config)
     alpha_star, pop_opa, _ = optimize(config)
     return {"pop_opa": pop_opa,
-            "pop_epa": pop_value(EPA_ALPHA, derived),
-            "pop_fpa": pop_value(FPA_ALPHA, derived),
+            "pop_epa": analytic.pop_value(EPA_ALPHA, derived),
+            "pop_fpa": analytic.pop_value(FPA_ALPHA, derived),
             "alpha_star": alpha_star}
 
 
@@ -342,7 +341,7 @@ def load_config(path: str | Path) -> SystemConfig:
 # --------------------------------------------------------------------------
 
 def _fmt(value) -> str:
-    return repr(value) if isinstance(value, float) else str(value)
+    return repr(float(value)) if isinstance(value, float) else str(value)
 
 
 def _config_line(config: SystemConfig) -> str:
@@ -381,14 +380,6 @@ def render_json(table: ResultTable, config: SystemConfig, title: str,
 # CLI
 # --------------------------------------------------------------------------
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", metavar="FILE",
-                        help="key/value configuration file")
-    parser.add_argument("--out", metavar="PATH",
-                        help="output file (default: stdout)")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="noma-pop",
@@ -399,7 +390,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
-        _add_common(p)
+        p.add_argument("--config", metavar="FILE",
+                       help="key/value configuration file")
+        p.add_argument("--out", metavar="PATH",
+                       help="output file (default: stdout)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
         if len(cmd.axes) > 1:
             p.add_argument("--var", choices=tuple(cmd.axes), default=cmd.var)
         if cmd.sweep is not None:

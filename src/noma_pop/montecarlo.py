@@ -43,7 +43,7 @@ from typing import BinaryIO, Sequence
 
 import numpy as np
 
-from .analytic import pop_value
+from . import analytic
 from .model import DerivedParams, SystemConfig, decode_terms
 
 BLOCK = 16_384  # trials per slice of a chunk; its workspace stays in cache
@@ -110,7 +110,7 @@ def sample_gains(rng: np.random.Generator, lambda1: float, lambda2: float,
     return u1, u2
 
 
-def _count_chunks(d: DerivedParams, alpha: float, mc: McConfig, block: int,
+def _count_chunks(d: DerivedParams, alpha: float, mc: McConfig,
                   chunks: Sequence[int]) -> int:
     """Successes over the chunk indices ``chunks``, in the order given.
 
@@ -123,6 +123,7 @@ def _count_chunks(d: DerivedParams, alpha: float, mc: McConfig, block: int,
     pis = (d.pi1, d.pi2)
     terms = [(user - 1, c, pis[message - 1] * k, pis[message - 1] / d.rho_t)
              for user, message, c, k in decode_terms(alpha, d.beta)]
+    block = min(BLOCK, mc.chunk, mc.trials)
     # rows: two gains, the signal and the right-hand side; the mask, scratch
     work, masks = np.empty((4, block)), np.empty((2, block), dtype=bool)
     successes = 0
@@ -282,14 +283,13 @@ def count_successes(config: SystemConfig, alpha: float, mc: McConfig) -> int:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     d = DerivedParams.from_config(config)
-    block = min(BLOCK, mc.chunk, mc.trials)
     chunks = range(-(-mc.trials // mc.chunk))
     lanes = _lanes_for(mc.trials, len(chunks))
     n = len(lanes) + 1  # with no lanes, the caller counts every chunk
     try:
         for i, lane in enumerate(lanes, 1):
-            lane.send((d, alpha, mc, block, chunks[i::n]))
-        successes = _count_chunks(d, alpha, mc, block, chunks[::n])
+            lane.send((d, alpha, mc, chunks[i::n]))
+        successes = _count_chunks(d, alpha, mc, chunks[::n])
         replies = [lane.receive() for lane in lanes]
     except BaseException:
         _drop_lanes()
@@ -357,7 +357,7 @@ def check_point(config: SystemConfig, alpha: float, analytic_pop: float,
 
 def validate(config: SystemConfig, alpha_grid: Sequence[float],
              mc: McConfig) -> list[ValidationRow]:
-    """Compare the closed form `pop_value` with the estimator on a grid.
+    """Compare the closed form `analytic.pop_value` with MC on a grid.
 
     Each grid point runs on its own substream derived from the base seed, so
     points are statistically independent yet the whole report is a pure
@@ -367,6 +367,6 @@ def validate(config: SystemConfig, alpha_grid: Sequence[float],
     if len(alpha_grid) == 0:
         raise ValueError("alpha_grid must be nonempty")
     derived = DerivedParams.from_config(config)
-    return [check_point(config, alpha, pop_value(alpha, derived),
+    return [check_point(config, alpha, analytic.pop_value(alpha, derived),
                         replace(mc, seed=point_seed(mc.seed, i)))
             for i, alpha in enumerate(alpha_grid)]

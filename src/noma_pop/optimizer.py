@@ -21,7 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import Case, case_intervals, pop_curve, pop_value
+from . import analytic
+from .analytic import Case, case_intervals, pop_curve
 from .model import DerivedParams, SystemConfig
 
 GRID_STEP = 1e-5  # resolution of grid_oracle and grid_min_near
@@ -118,7 +119,7 @@ def candidate_set(derived: DerivedParams) -> tuple[Candidate, ...]:
             lo < hi if case in (Case.CASE1, Case.CASE4) else lo < alpha < hi)
         candidates.append(Candidate(
             name, case, alpha, feasible,
-            pop_value(alpha, derived) if feasible else None))
+            analytic.pop_value(alpha, derived) if feasible else None))
     return tuple(candidates)
 
 

@@ -1,5 +1,6 @@
 """Tests for the experiment runners, config files, output, and CLI."""
 
+import dataclasses
 import json
 import os
 import re
@@ -221,7 +222,7 @@ class TestRunners:
         exp = Experiment("validate-mc", ref_config,
                          "alpha", 0.3, 0.7, 3,
                          mc=McConfig(trials=100_000, seed=11, chunk=50_000))
-        monkeypatch.setattr(noma_pop.montecarlo, "pop_value",
+        monkeypatch.setattr(noma_pop.analytic, "pop_value",
                             lambda a, d: min(1.0, pop_value(a, d) + 0.05))
         table = run_validate_mc(exp)
         assert table.summary["flagged"] > 0
@@ -233,7 +234,7 @@ class TestRunners:
                          mc=McConfig(trials=100_000, seed=11, chunk=50_000))
         clean = run(exp)
         assert clean.summary["flagged"] == 0 and clean.failure is None
-        monkeypatch.setattr(noma_pop.montecarlo, "pop_value",
+        monkeypatch.setattr(noma_pop.analytic, "pop_value",
                             lambda a, d: min(1.0, pop_value(a, d) + 0.05))
         table = run(exp)
         assert table.summary["flagged"] > 0
@@ -286,6 +287,18 @@ class TestOutput:
             for col in ("pop_opa", "pop_epa", "pop_fpa"):
                 assert 0.0 <= row[col] <= 1.0
             assert 0.0 < row["alpha_star"] < 1.0
+
+    def test_csv_prints_numpy_floats_as_python_floats(self, ref_config):
+        as_numpy = dataclasses.replace(ref_config, **{
+            name: np.float64(value)
+            for name, value in dataclasses.asdict(ref_config).items()
+            if isinstance(value, float)})
+        assert isinstance(as_numpy.rho_t_db, np.float64)
+        csv = [render_csv(run(Experiment("sweep-threshold", config, "r1_th",
+                                         0.1, 0.2, 2)),
+                          config, "sweep-threshold")
+               for config in (ref_config, as_numpy)]
+        assert csv[1] == csv[0]
 
 
 class TestCli:
@@ -490,8 +503,8 @@ class TestCli:
 
     def test_validate_mc_detects_corruption(self, tmp_path, monkeypatch,
                                             capsys):
-        real = noma_pop.montecarlo.pop_value
-        monkeypatch.setattr(noma_pop.montecarlo, "pop_value",
+        real = noma_pop.analytic.pop_value
+        monkeypatch.setattr(noma_pop.analytic, "pop_value",
                             lambda a, d: min(1.0, real(a, d) + 0.05))
         code = main(["validate-mc", "--count", "3", "--start", "0.3",
                      "--stop", "0.7"] + FAST)
@@ -501,6 +514,33 @@ class TestCli:
         assert flagged > 0
         assert captured.err == (f"validation failure: {flagged} point(s) "
                                 "with |z| > 4.0\n")
+
+    # stderr of each check when the closed form is off by +0.05; None where
+    # MC is drawn but no verdict is given, so only the printed z is checked
+    @pytest.mark.parametrize("args, err", [
+        (["validate-mc", "--count", "3", "--start", "0.3", "--stop", "0.7"]
+         + FAST, "3 point(s) with |z| > 4.0"),
+        (["optimize", "--check"],
+         "closed-form optimum disagrees with the grid search"),
+        (["pop", "--alpha", "0.5", "--with-mc"] + FAST, None),
+        (["sweep-threshold", "--with-mc", "--count", "3"] + FAST, None),
+    ], ids=["validate-mc", "optimize", "pop", "sweep-threshold"])
+    def test_corrupted_closed_form_fails_every_check(self, monkeypatch,
+                                                     capsys, args, err):
+        real = noma_pop.analytic.pop_value
+        monkeypatch.setattr(noma_pop.analytic, "pop_value",
+                            lambda a, d: min(1.0, real(a, d) + 0.05))
+        code = main(args)
+        captured = capsys.readouterr()
+        if err is not None:
+            assert code == EXIT_VALIDATION_FAILURE
+            assert captured.err == f"validation failure: {err}\n"
+            return
+        lines = [line.split(",") for line in captured.out.splitlines()
+                 if not line.startswith("#")]
+        z = lines[0].index("z")
+        assert len(lines) > 1
+        assert all(abs(float(row[z])) > 4 for row in lines[1:])
 
     def test_threshold_sweep_cli(self, capsys):
         assert main(["sweep-threshold", "--var", "r1_th", "--start", "0.05",

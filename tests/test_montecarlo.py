@@ -288,7 +288,7 @@ class TestLanes:
         mc = McConfig(trials=trials, seed=17, chunk=chunk)
         chunks = range(math.ceil(trials / chunk))
         serial = _count_chunks(DerivedParams.from_config(ref_config), 0.45,
-                               mc, min(BLOCK, chunk), chunks)
+                               mc, chunks)
         with deadline(60):
             assert count_successes(ref_config, 0.45, mc) == serial
         assert len(lane_pids()) == min(cpus, len(chunks)) - 1
@@ -596,7 +596,7 @@ class TestValidate:
             validate(ref_config, [], FAST_MC)
 
     def test_corrupted_analytic_is_flagged(self, monkeypatch, ref_config):
-        monkeypatch.setattr(noma_pop.montecarlo, "pop_value",
+        monkeypatch.setattr(noma_pop.analytic, "pop_value",
                             lambda a, d: pop_value(a, d) + 0.05)
         rows = validate(ref_config, [0.5], FAST_MC)
         assert abs(rows[0].z) > 4

@@ -332,6 +332,5 @@ def test_cleared_conditions_count_like_ratios_at_scale_corners(
     assert len({classify_case(a, d)
                 for a in (0.9 * alpha, alpha, 1.1 * alpha)}) == 1
     mc = McConfig(trials=70_001, seed=seed, chunk=30_000)
-    got = _count_chunks(d, alpha, mc, BLOCK,
-                        range(math.ceil(mc.trials / mc.chunk)))
+    got = _count_chunks(d, alpha, mc, range(math.ceil(mc.trials / mc.chunk)))
     assert got == ratio_form_count(d, alpha, mc, BLOCK) == expected
