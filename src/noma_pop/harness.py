@@ -198,7 +198,7 @@ def _sweep_rows(exp: Experiment, echo: tuple[str, ...],
     rows = []
     for i, value in enumerate(exp.values()):
         config = dataclasses.replace(exp.base, pt_dbm=None, noise_dbm=None,
-                                     **dict.fromkeys(fields, float(value)))
+                                     **dict.fromkeys(fields, value))
         row = {name: getattr(config, name) for name in echo}
         row.update(metrics(config))
         if exp.mc is not None:
@@ -340,26 +340,18 @@ def load_config(path: str | Path) -> SystemConfig:
 # output
 # --------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
-def _config_line(config: SystemConfig) -> str:
-    return " ".join(f"{name}={_fmt(value)}"
-                    for name, value in dataclasses.asdict(config).items()
-                    if value is not None)
-
-
 def render_csv(table: ResultTable, config: SystemConfig, title: str,
                mc: McConfig | None = None) -> str:
     """CSV text with a provenance comment line and a derived-data footer."""
-    header = f"# noma-pop {__version__} | {title} | {_config_line(config)}"
+    header = f"# noma-pop {__version__} | {title} | " + " ".join(
+        f"{name}={value}" for name, value in dataclasses.asdict(config).items()
+        if value is not None)
     if mc is not None:
         header += f" | trials={mc.trials} seed={mc.seed} chunk={mc.chunk}"
     columns = list(table.rows[0])
     lines = [header, ",".join(columns)]
-    lines += [",".join(_fmt(row[c]) for c in columns) for row in table.rows]
-    lines += [f"# {key}={_fmt(value)}"
+    lines += [",".join(str(row[c]) for c in columns) for row in table.rows]
+    lines += [f"# {key}={value}"
               for key, value in (table.summary or {}).items()]
     return "\n".join(lines) + "\n"
 

@@ -93,7 +93,8 @@ class SystemConfig:
     """All physical and protocol parameters of the two-user downlink pair.
 
     rho_t_db is the transmit SNR in dB. pt_dbm/noise_dbm are optional; when
-    both are given they must satisfy rho_t_db = pt_dbm - noise_dbm.
+    both are given they must satisfy rho_t_db = pt_dbm - noise_dbm. Each
+    given field is stored as a Python float, so numpy scalars work as well.
     """
 
     d1: float
@@ -111,8 +112,11 @@ class SystemConfig:
         # NaN fails no comparison below, so non-finite values go first
         for f in fields(self):
             value = getattr(self, f.name)
-            if value is not None and not math.isfinite(value):
+            if value is None:
+                continue
+            if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
+            object.__setattr__(self, f.name, float(value))
         if self.d1 <= 0 or self.d2 <= 0:
             raise ValueError("user distances must be positive")
         if self.d1 > self.d2:

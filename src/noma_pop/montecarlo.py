@@ -53,7 +53,7 @@ MIN_FIRST_PARALLEL_TRIALS = 10_000_000  # the same for a process's first call
 
 @dataclass(frozen=True)
 class McConfig:
-    """Trial budget, seed, and substream chunk size."""
+    """Trial budget, seed and substream chunk size, stored as Python ints."""
 
     trials: int = 1_000_000
     seed: int = 12345
@@ -66,6 +66,7 @@ class McConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if value < low:
                 raise ValueError(f"{name} must be >= {low}, got {value}")
+            object.__setattr__(self, name, int(value))
         if self.trials > sys.maxsize:  # more chunks than len() can count
             raise ValueError(f"trials must be <= {sys.maxsize}, "
                              f"got {self.trials}")

@@ -121,8 +121,11 @@ def record():
             if code != want_code:
                 sys.exit(f"{name} {fmt}: exit {code}, expected {want_code}")
             (GOLDEN / f"{name}.{fmt}").write_text(out)
+            err_file = GOLDEN / f"{name}.err"
             if err:
-                (GOLDEN / f"{name}.err").write_text(err)
+                err_file.write_text(err)
+            else:
+                err_file.unlink(missing_ok=True)
 
 
 if __name__ == "__main__":

@@ -25,8 +25,8 @@ from noma_pop.harness import (
     load_config,
     main,
     render_csv,
+    render_json,
     run,
-    run_validate_mc,
 )
 
 FAST = ["--trials", "50000", "--chunk", "25000", "--seed", "7"]
@@ -218,15 +218,6 @@ class TestRunners:
         again = run(exp)
         assert table.rows == again.rows
 
-    def test_validate_mc_detects_corruption(self, monkeypatch, ref_config):
-        exp = Experiment("validate-mc", ref_config,
-                         "alpha", 0.3, 0.7, 3,
-                         mc=McConfig(trials=100_000, seed=11, chunk=50_000))
-        monkeypatch.setattr(noma_pop.analytic, "pop_value",
-                            lambda a, d: min(1.0, pop_value(a, d) + 0.05))
-        table = run_validate_mc(exp)
-        assert table.summary["flagged"] > 0
-
     def test_validate_mc_failure_names_the_flagged_points(self, monkeypatch,
                                                           ref_config):
         exp = Experiment("validate-mc", ref_config,
@@ -289,24 +280,32 @@ class TestOutput:
             assert 0.0 < row["alpha_star"] < 1.0
 
     def test_csv_prints_numpy_floats_as_python_floats(self, ref_config):
-        as_numpy = dataclasses.replace(ref_config, **{
-            name: np.float64(value)
-            for name, value in dataclasses.asdict(ref_config).items()
-            if isinstance(value, float)})
-        assert isinstance(as_numpy.rho_t_db, np.float64)
-        csv = [render_csv(run(Experiment("sweep-threshold", config, "r1_th",
-                                         0.1, 0.2, 2)),
-                          config, "sweep-threshold")
-               for config in (ref_config, as_numpy)]
-        assert csv[1] == csv[0]
+        """Configs store numpy scalars as Python numbers, so a numpy config
+        renders, in CSV and JSON, as the Python numbers of the same values."""
+        def outputs(config, mc=None):
+            table = run(Experiment("sweep-threshold", config, "r1_th",
+                                   0.1, 0.2, 2, mc=mc))
+            return [render(table, config, "sweep-threshold", mc)
+                    for render in (render_csv, render_json)]
+
+        values = dataclasses.asdict(ref_config)
+        for scalar in (np.float64, np.float32):
+            as_numpy = dataclasses.replace(ref_config, **{
+                name: scalar(value) for name, value in values.items()})
+            as_python = dataclasses.replace(ref_config, **{
+                name: float(scalar(value)) for name, value in values.items()})
+            assert all(type(value) is float
+                       for value in dataclasses.asdict(as_numpy).values())
+            assert outputs(as_numpy) == outputs(as_python)
+        mc = McConfig(trials=20_000, seed=7, chunk=10_000)
+        as_int64 = McConfig(**{name: np.int64(value)
+                               for name, value in dataclasses.asdict(mc).items()})
+        assert all(type(value) is int
+                   for value in dataclasses.asdict(as_int64).values())
+        assert outputs(ref_config, as_int64) == outputs(ref_config, mc)
 
 
 class TestCli:
-    def test_pop_ok(self, capsys):
-        assert main(["pop", "--alpha", "0.5"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert "Case3" in out
-
     def test_pop_with_mc(self, capsys):
         assert main(["pop", "--alpha", "0.5", "--with-mc"] + FAST) == EXIT_OK
         assert "mc_pop" in capsys.readouterr().out
