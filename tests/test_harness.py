@@ -298,8 +298,7 @@ class TestOutput:
                        for value in dataclasses.asdict(as_numpy).values())
             assert outputs(as_numpy) == outputs(as_python)
         mc = McConfig(trials=20_000, seed=7, chunk=10_000)
-        as_int64 = McConfig(**{name: np.int64(value)
-                               for name, value in dataclasses.asdict(mc).items()})
+        as_int64 = McConfig(*map(np.int64, dataclasses.astuple(mc)))
         assert all(type(value) is int
                    for value in dataclasses.asdict(as_int64).values())
         assert outputs(ref_config, as_int64) == outputs(ref_config, mc)
