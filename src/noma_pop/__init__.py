@@ -2,57 +2,18 @@
 
 Closed-form evaluation, power-split optimization, and seeded Monte Carlo
 validation, plus a CLI experiment runner (`noma-pop`).
+
+The public names are each layer module's ``__all__``; the package re-exports
+them in layer order.
 """
 
 __version__ = "0.1.0"
 
-from .model import (
-    Breakpoints,
-    DerivedParams,
-    SystemConfig,
-    breakpoints,
-    db_to_linear,
-    mean_gain,
-    reference_config,
-    sinr_threshold,
-    sinrs,
-    zetas,
-)
-from .analytic import (
-    Case,
-    NotDifferentiableError,
-    classify_case,
-    dpop_dalpha,
-    pop,
-    pop_curve,
-    pop_value,
-)
-from .optimizer import (
-    Candidate,
-    NoFeasibleAllocationError,
-    candidate_set,
-    grid_oracle,
-    optimize,
-    stationary_roots,
-)
-from .montecarlo import (
-    McConfig,
-    ValidationRow,
-    binomial_z,
-    pop_estimate,
-    sample_gains,
-    validate,
-)
+from . import analytic, model, montecarlo, optimizer
+from .model import *
+from .analytic import *
+from .optimizer import *
+from .montecarlo import *
 
-__all__ = [
-    "__version__",
-    "Breakpoints", "DerivedParams", "SystemConfig", "breakpoints",
-    "db_to_linear", "mean_gain", "reference_config", "sinr_threshold",
-    "sinrs", "zetas",
-    "Case", "NotDifferentiableError", "classify_case", "dpop_dalpha", "pop",
-    "pop_curve", "pop_value",
-    "Candidate", "NoFeasibleAllocationError", "candidate_set", "grid_oracle",
-    "optimize", "stationary_roots",
-    "McConfig", "ValidationRow", "binomial_z", "pop_estimate", "sample_gains",
-    "validate",
-]
+__all__ = ["__version__", *model.__all__, *analytic.__all__,
+           *optimizer.__all__, *montecarlo.__all__]

@@ -14,6 +14,9 @@ gives the per-case derivative dPOP/dalpha.
 
 from __future__ import annotations
 
+__all__ = ["Case", "NotDifferentiableError", "classify_case", "dpop_dalpha",
+           "pop", "pop_curve", "pop_value"]
+
 import enum
 import math
 from dataclasses import dataclass

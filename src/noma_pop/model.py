@@ -14,6 +14,10 @@ cancellation, 1 means no cancellation at all.
 
 from __future__ import annotations
 
+__all__ = ["Breakpoints", "DerivedParams", "SystemConfig", "breakpoints",
+           "db_to_linear", "mean_gain", "reference_config",
+           "sinr_threshold", "sinrs", "zetas"]
+
 import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple

@@ -31,6 +31,9 @@ threads (fork is unsafe then) and platforms without ``sched_getaffinity``.
 
 from __future__ import annotations
 
+__all__ = ["McConfig", "ValidationRow", "binomial_z", "pop_estimate",
+           "sample_gains", "validate"]
+
 import atexit
 import contextlib
 import math

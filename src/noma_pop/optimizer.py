@@ -16,6 +16,9 @@ builds the six candidates from one table and marks the feasible ones;
 
 from __future__ import annotations
 
+__all__ = ["Candidate", "NoFeasibleAllocationError", "candidate_set",
+           "grid_oracle", "optimize", "stationary_roots"]
+
 import math
 from typing import NamedTuple
 

@@ -1,7 +1,6 @@
 """Tests for the experiment runners, config files, output, and CLI."""
 
 import dataclasses
-import json
 import os
 import re
 import subprocess
@@ -305,25 +304,8 @@ class TestOutput:
 
 
 class TestCli:
-    def test_pop_with_mc(self, capsys):
-        assert main(["pop", "--alpha", "0.5", "--with-mc"] + FAST) == EXIT_OK
-        assert "mc_pop" in capsys.readouterr().out
-
     def test_pop_invalid_alpha(self, capsys):
         assert main(["pop", "--alpha", "1.5"]) == EXIT_INVALID_INPUT
-
-    def test_optimize_ok(self, tmp_path):
-        out = tmp_path / "opt.csv"
-        assert main(["optimize", "--out", str(out)]) == EXIT_OK
-        text = out.read_text()
-        assert "alpha_star=0.5137620428280533" in text
-
-    def test_optimize_with_grid_check(self, tmp_path):
-        out = tmp_path / "opt.csv"
-        assert main(["optimize", "--check", "--out", str(out)]) == EXIT_OK
-        text = out.read_text()
-        assert "check_ok=1" in text
-        assert "grid_alpha=" in text
 
     def test_optimize_infeasible(self, tmp_path, capsys):
         path = write_config(tmp_path, "r1_th = 1\nr2_th = 1\n")
@@ -459,14 +441,6 @@ class TestCli:
     def test_import_does_not_run_the_cli(self):
         assert "noma_pop.__main__" not in sys.modules
 
-    def test_sweep_alpha_csv(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        assert main(["sweep-alpha", "--count", "9", "--out",
-                     str(out)]) == EXIT_OK
-        lines = out.read_text().splitlines()
-        assert lines[1] == "alpha,pop,case,is_alpha_star"
-        assert len(lines) >= 11  # header comment + columns + 9 rows + star
-
     def test_sweep_alpha_in_certain_outage_marks_no_optimum(self, tmp_path,
                                                             capsys):
         # pi1 * pi2 = 1: no split escapes outage, so there is no optimum
@@ -482,36 +456,6 @@ class TestCli:
                              "0.7000000000000001,1.0,Case5,0",
                              "0.9,1.0,Case5,0"]
         assert captured.err == ""
-
-    def test_compare_json(self, tmp_path):
-        out = tmp_path / "cmp.json"
-        assert main(["compare", "--count", "5", "--format", "json",
-                     "--out", str(out)]) == EXIT_OK
-        doc = json.loads(out.read_text())
-        assert doc["columns"][0] == "d2"
-        assert len(doc["rows"]) == 5
-        assert "avg_improvement_over_epa_pct" in doc["summary"]
-
-    def test_validate_mc_ok_and_deterministic(self, tmp_path):
-        out1, out2 = tmp_path / "v1.csv", tmp_path / "v2.csv"
-        args = ["validate-mc", "--count", "5"] + FAST
-        assert main(args + ["--out", str(out1)]) == EXIT_OK
-        assert main(args + ["--out", str(out2)]) == EXIT_OK
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_validate_mc_detects_corruption(self, tmp_path, monkeypatch,
-                                            capsys):
-        real = noma_pop.analytic.pop_value
-        monkeypatch.setattr(noma_pop.analytic, "pop_value",
-                            lambda a, d: min(1.0, real(a, d) + 0.05))
-        code = main(["validate-mc", "--count", "3", "--start", "0.3",
-                     "--stop", "0.7"] + FAST)
-        assert code == EXIT_VALIDATION_FAILURE
-        captured = capsys.readouterr()
-        flagged = int(captured.out.splitlines()[-1].removeprefix("# flagged="))
-        assert flagged > 0
-        assert captured.err == (f"validation failure: {flagged} point(s) "
-                                "with |z| > 4.0\n")
 
     # stderr of each check when the closed form is off by +0.05; None where
     # MC is drawn but no verdict is given, so only the printed z is checked
@@ -539,15 +483,6 @@ class TestCli:
         z = lines[0].index("z")
         assert len(lines) > 1
         assert all(abs(float(row[z])) > 4 for row in lines[1:])
-
-    def test_threshold_sweep_cli(self, capsys):
-        assert main(["sweep-threshold", "--var", "r1_th", "--start", "0.05",
-                     "--stop", "0.3", "--count", "4"]) == EXIT_OK
-        out = capsys.readouterr().out
-        assert out.splitlines()[1] == "r1_th,r2_th,rho_t_db,pop,case"
-
-    def test_snr_sweep_cli(self, capsys):
-        assert main(["sweep-snr", "--count", "3"]) == EXIT_OK
 
 
 class TestSweepBounds:

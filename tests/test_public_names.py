@@ -28,6 +28,14 @@ def test_every_exported_name_resolves():
     assert len(noma_pop.__all__) == len(set(noma_pop.__all__))
     missing = [n for n in noma_pop.__all__ if not hasattr(noma_pop, n)]
     assert missing == []
+    # each name is declared once, in the __all__ of the module defining it
+    layers = [importlib.import_module(f"noma_pop.{layer}") for layer in
+              ("model", "analytic", "optimizer", "montecarlo")]
+    assert noma_pop.__all__ == [
+        "__version__", *(n for m in layers for n in m.__all__)]
+    foreign = [f"{m.__name__}.{n}" for m in layers for n in m.__all__
+               if getattr(m, n).__module__ != m.__name__]
+    assert foreign == []
 
 
 def test_every_traced_name_exists():

@@ -102,7 +102,7 @@ def summarize(runs: list[dict]) -> dict:
 def parse_workload(text: str) -> tuple[str, int]:
     name, _, seed = text.partition(":")
     names = [w["name"] for w in SPEC["workloads"]]
-    if name not in names or not seed.lstrip("-").isdigit():
+    if name not in names or not seed.isdecimal():
         raise argparse.ArgumentTypeError(
             f"expected NAME:FIRST_SEED with NAME one of {names}, got {text!r}")
     return name, int(seed)
