@@ -39,11 +39,15 @@ class TestConversions:
     def test_mean_gain_unit_distance(self):
         assert mean_gain(1.0, 1.0, 3.0) == 1.0
 
-    def test_mean_gain_rejects_nonpositive_distance(self):
+    def test_mean_gain_rejects_nonpositive_inputs(self):
         with pytest.raises(ValueError):
             mean_gain(0.0, 1.0, 3.0)
         with pytest.raises(ValueError):
             mean_gain(-5.0, 1.0, 3.0)
+        for lp in (0.0, -1.0):
+            with pytest.raises(ValueError,
+                               match="path loss constant must be positive"):
+                mean_gain(50.0, lp, 3.0)
 
     def test_sinr_threshold(self):
         assert sinr_threshold(1.0) == 1.0

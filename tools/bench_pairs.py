@@ -108,12 +108,19 @@ def parse_workload(text: str) -> tuple[str, int]:
     return name, int(seed)
 
 
+def parse_pairs(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a whole number of pairs, at least 1, got {text!r}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--parent", default="HEAD~1")
     p.add_argument("--change", default="HEAD")
-    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--pairs", type=parse_pairs, default=10)
     p.add_argument("--seconds", type=float,
                    default=SPEC.get("run_seconds", 55))
     p.add_argument("--traced-seconds", type=float, default=10)
