@@ -11,9 +11,12 @@ command reproduces the file byte for byte.
 from __future__ import annotations
 
 import argparse
+import atexit
 import dataclasses
+import gc
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from functools import partial
@@ -399,6 +402,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_stdout(text: str) -> None:
+    """Write and flush ``text``, so that a full or closed stdout is the
+    command's error; its unwritten bytes then go to the null device, or the
+    interpreter's exit flush would fail on them again and exit 120."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        raise
+
+
 def _dispatch(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else reference_config()
     mc = (McConfig(trials=args.trials, seed=args.seed, chunk=args.chunk)
@@ -416,7 +433,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     render = render_csv if args.format == "csv" else render_json
     text = render(table, config, args.command, mc=mc)
     if args.out is None:
-        sys.stdout.write(text)
+        _write_stdout(text)
     else:
         Path(args.out).write_text(text)
     if table.failure is None:
@@ -426,6 +443,12 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
+    if argv is None:  # the process's own command line
+        # at exit, move every object into the permanent generation, so the
+        # interpreter's final collections skip them; main([...]) and library
+        # callers keep their exit-time collection
+        atexit.unregister(gc.freeze)  # register once, however often called
+        atexit.register(gc.freeze)
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

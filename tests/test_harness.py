@@ -1,6 +1,8 @@
 """Tests for the experiment runners, config files, output, and CLI."""
 
+import atexit
 import dataclasses
+import gc
 import os
 import re
 import subprocess
@@ -30,15 +32,23 @@ from noma_pop.harness import (
 
 FAST = ["--trials", "50000", "--chunk", "25000", "--seed", "7"]
 # runs the CLI as the console script does, then writes its lane pids to
-# argv[1]; with argv[2] == "serial" it keeps to one CPU, so it starts none;
-# with "lost" it takes two CPUs, and each lane dies at its first draw
+# argv[1] and, from an exit handler that runs after the CLI's own, the
+# gc.get_freeze_count() it sees to argv[1] + ".frozen"; with argv[2] ==
+# "serial" it keeps to one CPU, so it starts none; with "lost" it takes two
+# CPUs, and each lane dies at its first draw; with "argv" it sets sys.argv
+# and calls main() with no arguments, as the console script does
 LANE_RUN = """
-import os, sys
+import atexit, gc, os, sys
+pid_file, mode, args = sys.argv[1], sys.argv[2], sys.argv[3:]
+def report_freeze():
+    with open(pid_file + ".frozen", "w") as f:
+        f.write(str(gc.get_freeze_count()))
+atexit.register(report_freeze)
 from noma_pop import montecarlo
 from noma_pop.harness import main
-if sys.argv[2] == "serial":
+if mode == "serial":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-if sys.argv[2] == "lost":
+if mode == "lost":
     owner, draw = os.getpid(), montecarlo.sample_gains
     def die_in_lane(*args, **kwargs):
         if os.getpid() != owner:
@@ -46,8 +56,12 @@ if sys.argv[2] == "lost":
         return draw(*args, **kwargs)
     montecarlo.sample_gains = die_in_lane
     os.sched_getaffinity = lambda pid: {0, 1}
-code = main(sys.argv[3:])
-with open(sys.argv[1], "w") as f:
+if mode == "argv":
+    sys.argv[1:] = args
+    code = main()
+else:
+    code = main(args)
+with open(pid_file, "w") as f:
     f.write(" ".join(str(lane.pid) for lane in montecarlo._lanes))
 sys.exit(code)
 """
@@ -329,13 +343,37 @@ class TestCli:
         assert main(["pop", "--alpha", "0.5"]) == EXIT_OK
         assert proc.stdout == capsys.readouterr().out
 
+    def test_in_process_main_leaves_exit_collection(self, monkeypatch,
+                                                    capsys):
+        registered = []
+        monkeypatch.setattr(atexit, "register", registered.append)
+        frozen = gc.get_freeze_count()
+        assert main(["pop", "--alpha", "0.5"]) == EXIT_OK
+        assert registered == []
+        assert gc.get_freeze_count() == frozen
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device that is always full")
+    def test_full_stdout_is_one_error_line(self):
+        # buffered stdout: the table sits in the buffer until a flush
+        src = Path(noma_pop.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        env.pop("PYTHONUNBUFFERED", None)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "noma_pop", "pop"], stdout=full,
+                stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+        assert proc.returncode == EXIT_INVALID_INPUT
+        assert proc.stderr == "error: [Errno 28] No space left on device\n"
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
                         reason="lanes run only where the affinity is known")
     def test_validate_mc_lanes_exit_clean_with_serial_bytes(self, tmp_path):
         src = Path(noma_pop.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
         runs = []
-        for i, mode in enumerate(("lanes", "lanes", "serial")):
+        modes = ("lanes", "lanes", "serial", "argv")
+        for i, mode in enumerate(modes):
             pid_file = tmp_path / f"lanes-{i}"
             proc = subprocess.run(
                 [sys.executable, "-c", LANE_RUN, str(pid_file), mode,
@@ -343,12 +381,15 @@ class TestCli:
                 capture_output=True, text=True, env=env, timeout=120)
             assert proc.returncode == EXIT_OK, proc.stderr
             assert proc.stderr == ""
+            frozen = int(Path(f"{pid_file}.frozen").read_text())
+            # only main() with no arguments skips the exit-time collection
+            assert (frozen > 0) == (mode == "argv"), (mode, frozen)
             runs.append((proc.stdout,
                          [int(p) for p in pid_file.read_text().split()]))
         # the default 1e6 trials are 4 chunks: one per lane, up to 4 lanes
         lanes = min(len(os.sched_getaffinity(0)), 4) - 1
-        assert [len(pids) for _, pids in runs] == [lanes, lanes, 0]
-        assert runs[0][0] == runs[1][0] == runs[2][0]
+        assert [len(pids) for _, pids in runs] == [lanes, lanes, 0, lanes]
+        assert len({stdout for stdout, _ in runs}) == 1
         assert runs[0][0].splitlines()[2:] == VALIDATE_MC_3
         for _, pids in runs:
             for pid in pids:

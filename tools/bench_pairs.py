@@ -15,8 +15,10 @@ falls on both sides alike. Then each side gets one traced run per workload
 
 The output holds every run and, per workload and end-to-end metric of
 ``BENCHMARK.json``, each side's median and quartiles
-(``statistics.quantiles(n=4)``) and the number of pairs the change won. It
-is rewritten after every run, so an interrupted session keeps what it ran.
+(``statistics.quantiles(n=4)``), the number of pairs the change won, and
+whether the metric meets the claim rule and stays within its bound (see
+``summarize``). It is rewritten after every run, so an interrupted session
+keeps what it ran.
 """
 
 from __future__ import annotations
@@ -66,8 +68,13 @@ def bench(tree: Path, workload: str, seed: int, seconds: float,
 
 def summarize(runs: list[dict]) -> dict:
     """Per workload and end-to-end metric: each side's median and
-    quartiles, the change's wins over its pair and the failed operations."""
+    quartiles, the change's wins over its pair, the failed operations and
+    two verdicts. ``claim_rule_met``: the change won at least 9 in 10 pairs
+    and its median beats the parent's by more than the parent's q3 - q1.
+    ``within_bound``: its median is worse than the parent's by no more
+    than the metric's ``bound`` in ``BENCHMARK.json``, relative."""
     better = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
+    bound = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
     summary = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         pairs: dict[int, dict] = {}
@@ -93,6 +100,12 @@ def summarize(runs: list[dict]) -> dict:
             row["change_wins"] = sum(sign * (c - p) > 0 for p, c in
                                      zip(value["parent"], value["change"]))
             row["pairs"] = len(done)
+            gain = sign * (row["change_median"] - row["parent_median"])
+            row["claim_rule_met"] = (
+                10 * row["change_wins"] >= 9 * len(done)
+                and gain > row["parent_q3"] - row["parent_q1"])
+            row["within_bound"] = (
+                gain >= -bound[name] * abs(row["parent_median"]))
             row["parent_failed"] = failed["parent"]
             row["change_failed"] = failed["change"]
             summary[workload][name] = row
