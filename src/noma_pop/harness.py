@@ -402,18 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_stdout(text: str) -> None:
-    """Write and flush ``text``, so that a full or closed stdout is the
-    command's error; its unwritten bytes then go to the null device, or the
-    interpreter's exit flush would fail on them again and exit 120."""
-    try:
-        sys.stdout.write(text)
-        sys.stdout.flush()
-    except OSError:
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, sys.stdout.fileno())
-        os.close(null)
-        raise
+def _drop_stdout() -> None:
+    """Point the process's stdout at the null device, so that the
+    interpreter's exit flush does not fail again (exit 120) on the bytes a
+    failed write left in its buffer."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, sys.stdout.fileno())
+    os.close(null)
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -433,7 +428,8 @@ def _dispatch(args: argparse.Namespace) -> int:
     render = render_csv if args.format == "csv" else render_json
     text = render(table, config, args.command, mc=mc)
     if args.out is None:
-        _write_stdout(text)
+        sys.stdout.write(text)
+        sys.stdout.flush()  # a full or closed stdout is the command's error
     else:
         Path(args.out).write_text(text)
     if table.failure is None:
@@ -444,10 +440,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     if argv is None:  # the process's own command line
-        # at exit, move every object into the permanent generation, so the
-        # interpreter's final collections skip them; main([...]) and library
-        # callers keep their exit-time collection
-        atexit.unregister(gc.freeze)  # register once, however often called
+        # freeze every object at exit, so the final collections skip them
         atexit.register(gc.freeze)
     try:
         args = build_parser().parse_args(argv)
@@ -459,6 +452,8 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except (NoFeasibleAllocationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, OSError) and argv is None:
+            _drop_stdout()  # main([...]) leaves the caller's stdout alone
         if isinstance(exc, NoFeasibleAllocationError):
             return EXIT_NO_FEASIBLE_ALLOCATION
         return EXIT_INVALID_INPUT

@@ -1,8 +1,6 @@
 """Tests for the experiment runners, config files, output, and CLI."""
 
-import atexit
 import dataclasses
-import gc
 import os
 import re
 import subprocess
@@ -343,14 +341,19 @@ class TestCli:
         assert main(["pop", "--alpha", "0.5"]) == EXIT_OK
         assert proc.stdout == capsys.readouterr().out
 
-    def test_in_process_main_leaves_exit_collection(self, monkeypatch,
-                                                    capsys):
-        registered = []
-        monkeypatch.setattr(atexit, "register", registered.append)
-        frozen = gc.get_freeze_count()
-        assert main(["pop", "--alpha", "0.5"]) == EXIT_OK
-        assert registered == []
-        assert gc.get_freeze_count() == frozen
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device that is always full")
+    def test_in_process_full_stdout_stays_the_callers(self, monkeypatch,
+                                                      capsys):
+        full = open("/dev/full", "w")
+        monkeypatch.setattr(sys, "stdout", full)
+        assert main(["pop"]) == EXIT_INVALID_INPUT
+        assert capsys.readouterr().err == (
+            "error: [Errno 28] No space left on device\n")
+        # the descriptor still names the full device, unwritten bytes and all
+        assert os.fstat(full.fileno()).st_rdev == os.stat("/dev/full").st_rdev
+        with pytest.raises(OSError):
+            full.close()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="needs a device that is always full")

@@ -69,10 +69,14 @@ def bench(tree: Path, workload: str, seed: int, seconds: float,
 def summarize(runs: list[dict]) -> dict:
     """Per workload and end-to-end metric: each side's median and
     quartiles, the change's wins over its pair, the failed operations and
-    two verdicts. ``claim_rule_met``: the change won at least 9 in 10 pairs
-    and its median beats the parent's by more than the parent's q3 - q1.
-    ``within_bound``: its median is worse than the parent's by no more
-    than the metric's ``bound`` in ``BENCHMARK.json``, relative."""
+    two verdicts. ``claim_rule_met``: at least 10 pairs ran, the change won
+    at least 9 in 10 of them, and its median beats the parent's by more
+    than the parent's q3 - q1.
+    ``bound_verdict``, against the metric's ``bound`` in ``BENCHMARK.json``
+    relative to the parent's median: "unresolved" when the parent's q3 - q1
+    is wider than that bound, unless every change run beats every parent
+    run; else "worse" when the change's median is worse than the parent's
+    by more than the bound; else "within"."""
     better = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
     bound = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
     summary = {}
@@ -102,10 +106,15 @@ def summarize(runs: list[dict]) -> dict:
             row["pairs"] = len(done)
             gain = sign * (row["change_median"] - row["parent_median"])
             row["claim_rule_met"] = (
-                10 * row["change_wins"] >= 9 * len(done)
+                len(done) >= 10 and 10 * row["change_wins"] >= 9 * len(done)
                 and gain > row["parent_q3"] - row["parent_q1"])
-            row["within_bound"] = (
-                gain >= -bound[name] * abs(row["parent_median"]))
+            limit = bound[name] * abs(row["parent_median"])
+            separated = (min(sign * c for c in value["change"])
+                         > max(sign * p for p in value["parent"]))
+            if row["parent_q3"] - row["parent_q1"] > limit and not separated:
+                row["bound_verdict"] = "unresolved"
+            else:
+                row["bound_verdict"] = "worse" if gain < -limit else "within"
             row["parent_failed"] = failed["parent"]
             row["change_failed"] = failed["change"]
             summary[workload][name] = row
