@@ -9,11 +9,10 @@ SINR array. Trials are split into fixed-size chunks, each driven by its own
 deterministically derived substream, so the aggregate count depends only on
 (seed, chunk size, trial count) and never on scheduling or worker count.
 A chunk's substream holds all its u1 draws, then all its u2 draws. The chunk
-reads both halves block by block, u2 from a second copy of the substream
-advanced past the u1 half, so BLOCK trials at a time are drawn, tested and
-counted in one workspace that stays in cache and is allocated once
-per call. A chunk that fits in one block draws both halves from the one
-generator, u2 right after u1: the same bits, without the second copy. The
+reads both halves block by block from one generator, jumping on to a block's
+u2 draws and back (PCG64's ``advance`` wraps around its period), so BLOCK
+trials at a time are drawn, tested and counted in one cached workspace
+allocated once per call. The draws are the bits of one whole draw and the
 decode conditions are elementwise, so the count does not depend on BLOCK.
 
 On Linux a call of two or more chunks and at least MIN_PARALLEL_TRIALS
@@ -90,12 +89,11 @@ def chunk_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def sample_gains(rng: np.random.Generator, lambda1: float, lambda2: float,
-                 size: int, rng2: np.random.Generator | None = None,
-                 out: np.ndarray | None = None):
+                 size: int, skip: int = 0, out: np.ndarray | None = None):
     """Two arrays of ``size`` exponential gains, means lambda1 and lambda2.
 
     Uses the inverse-CDF transform of uniform variates, applied in place.
-    The u2 draws come from ``rng2``, or else follow the u1 draws in ``rng``.
+    The u2 draws start ``skip`` outputs of ``rng`` after the u1 draws end.
     With ``out``, a (2, >= size) float array, the gains are written into its
     first ``size`` columns. No ordering between the two gains is imposed; the
     closed form models them as unordered independent exponentials and the
@@ -103,9 +101,12 @@ def sample_gains(rng: np.random.Generator, lambda1: float, lambda2: float,
     """
     if lambda1 <= 0 or lambda2 <= 0:
         raise ValueError("mean gains must be positive")
+    if skip < 0:
+        raise ValueError(f"skip must be >= 0, got {skip}")
     u1, u2 = np.empty((2, size)) if out is None else out[:, :size]
     rng.random(out=u1)
-    (rng if rng2 is None else rng2).random(out=u2)
+    rng.bit_generator.advance(skip)  # one 64-bit output per double
+    rng.random(out=u2)
     # the same bits as -lam * np.log1p(-u), without a temporary per step
     for u, lam in ((u1, lambda1), (u2, lambda2)):
         np.negative(u, out=u)
@@ -133,15 +134,14 @@ def _count_chunks(d: DerivedParams, alpha: float, mc: McConfig,
     successes = 0
     for idx in chunks:
         size = min(mc.chunk, mc.trials - idx * mc.chunk)
-        rng, rng2 = chunk_rng(mc.seed, idx), None
-        if size > block:  # else u2 follows u1 in rng, as in one whole draw
-            rng2 = chunk_rng(mc.seed, idx)
-            rng2.bit_generator.advance(size)  # one 64-bit output per double
+        rng = chunk_rng(mc.seed, idx)
         for lo in range(0, size, block):
             n = min(block, size - lo)
             w, (ok, cond) = work[:, :n], masks[:, :n]
-            sample_gains(rng, d.lambda1, d.lambda2, size=n, rng2=rng2,
+            sample_gains(rng, d.lambda1, d.lambda2, size=n, skip=size - n,
                          out=w[:2])
+            if lo + n < size:  # rewind size outputs, to this block's u1 end
+                rng.bit_generator.advance(2**128 - size)  # mod PCG64's period
             signal, rhs = w[2], w[3]
             for i, (row, c, pi_k, pi_noise) in enumerate(terms):
                 np.multiply(c, w[row], out=signal)

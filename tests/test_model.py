@@ -289,10 +289,15 @@ class TestSystemConfig:
             SystemConfig(d1=50, d2=100, path_loss_constant=1,
                          path_loss_exponent=3, rho_t_db=60, beta=0.2,
                          r1_th=0.1, r2_th=0.1, pt_dbm=-30.0, noise_dbm=-80.0)
-        # consistent pair accepted
-        SystemConfig(d1=50, d2=100, path_loss_constant=1,
-                     path_loss_exponent=3, rho_t_db=60, beta=0.2,
-                     r1_th=0.1, r2_th=0.1, pt_dbm=-30.0, noise_dbm=-90.0)
+        # consistent pair accepted, within RHO_CONSISTENCY_TOL_DB (1e-9 dB)
+        for rho_t_db in (60, 60 + 5e-10):
+            SystemConfig(d1=50, d2=100, path_loss_constant=1,
+                         path_loss_exponent=3, rho_t_db=rho_t_db, beta=0.2,
+                         r1_th=0.1, r2_th=0.1, pt_dbm=-30.0, noise_dbm=-90.0)
+        with pytest.raises(ValueError, match="inconsistent"):
+            SystemConfig(d1=50, d2=100, path_loss_constant=1,
+                         path_loss_exponent=3, rho_t_db=60 + 2e-9, beta=0.2,
+                         r1_th=0.1, r2_th=0.1, pt_dbm=-30.0, noise_dbm=-90.0)
 
     @pytest.mark.parametrize("field", [
         "d1", "d2", "path_loss_constant", "path_loss_exponent", "rho_t_db",

@@ -65,19 +65,19 @@ class TestSampling:
         assert np.array_equal(g2, -lam2 * np.log1p(-u2))
 
     @pytest.mark.parametrize("block", [16_384, 7_919])
-    def test_block_draws_from_two_streams_match_one_draw(self, block):
+    def test_block_draws_from_one_stream_match_one_draw(self, block):
         lam1, lam2, size = 8e-6, 1e-6, 70_001
         g1, g2 = sample_gains(chunk_rng(5, 3), lam1, lam2, size=size)
-        rng, rng2 = chunk_rng(5, 3), chunk_rng(5, 3)
-        rng2.bit_generator.advance(size)
+        rng = chunk_rng(5, 3)
         out = np.empty((2, block))
         parts = ([], [])
         for lo in range(0, size, block):
             n = min(block, size - lo)
             for part, g in zip(parts, sample_gains(rng, lam1, lam2, size=n,
-                                                   rng2=rng2, out=out)):
+                                                   skip=size - n, out=out)):
                 assert np.shares_memory(g, out)
                 part.append(g.copy())
+            rng.bit_generator.advance(2**128 - size)  # back to u1's end
         for whole, part in zip((g1, g2), parts):
             assert np.array_equal(whole.view(np.int64),
                                   np.concatenate(part).view(np.int64))
@@ -85,6 +85,13 @@ class TestSampling:
     def test_rejects_bad_means(self):
         with pytest.raises(ValueError):
             sample_gains(chunk_rng(1, 0), 0.0, 1e-6, size=4)
+
+    def test_rejects_negative_skip(self):
+        rng = chunk_rng(1, 0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="skip must be >= 0"):
+            sample_gains(rng, 8e-6, 1e-6, size=4, skip=-1)
+        assert rng.bit_generator.state == state  # nothing drawn
 
 
 class TestEstimator:
@@ -190,12 +197,11 @@ class TestKernelMemory:
         assert max(peaks) < 2 * 2**20
         assert abs(peaks[0] - peaks[1]) <= 64 * 2**10
 
-    def test_chunk_within_one_block_builds_one_generator(self, fresh_lanes,
-                                                          monkeypatch,
-                                                          ref_config):
+    def test_each_chunk_builds_one_generator(self, fresh_lanes, monkeypatch,
+                                             ref_config):
         fresh_lanes(1)
         # chunks of 30,000, 30,000 and 10,001 trials: the first two span two
-        # blocks and take a second, advanced generator; the last fits in one
+        # blocks, the last fits in one; each reads all its blocks from one
         indices = []
 
         def counted(seed, index):
@@ -205,7 +211,7 @@ class TestKernelMemory:
         monkeypatch.setattr(noma_pop.montecarlo, "chunk_rng", counted)
         mc = McConfig(trials=70_001, seed=4, chunk=30_000)
         count_successes(ref_config, 0.45, mc)
-        assert indices == [0, 0, 1, 1, 2]
+        assert indices == [0, 1, 2]
 
 
 PINNED_LANES = (0.2, McConfig(trials=500_000, seed=21, chunk=250_000), 288002)

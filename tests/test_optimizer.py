@@ -380,8 +380,11 @@ class TestGridOracle:
         cfg = dataclasses.replace(reference_config(), d2=178.32,
                                   rho_t_db=38.35, beta=0.453, r1_th=0.127,
                                   r2_th=0.206, pt_dbm=None, noise_dbm=None)
-        alpha_star, pop_star, _ = optimize(cfg)
+        alpha_star, pop_star, candidates = optimize(cfg)
         g_alpha, g_pop = grid_oracle(cfg)
         assert pop_star == g_pop == 1.0
         assert abs(alpha_star - g_alpha) > 0.3
         assert grid_min_near(cfg, alpha_star, g_pop)
+        # alpha_c1 and alpha_c2 tie at POP 1.0: the smaller alpha wins
+        assert alpha_star == min(c.alpha for c in candidates
+                                 if c.feasible and c.pop == pop_star)

@@ -17,8 +17,10 @@ The output holds every run and, per workload and end-to-end metric of
 ``BENCHMARK.json``, each side's median and quartiles
 (``statistics.quantiles(n=4)``), the number of pairs the change won, and
 whether the metric meets the claim rule and stays within its bound (see
-``summarize``). It is rewritten after every run, so an interrupted session
-keeps what it ran.
+``summarize``). Its ``environment`` holds the ``PYTHON*``, ``OPENBLAS_*``
+and ``MALLOC_*`` variables that every run inherits, since they change what
+the workloads measure. It is rewritten after every run, so an interrupted
+session keeps what it ran.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -167,6 +170,9 @@ def main(argv=None) -> int:
             "os": platform.platform(),
             "python": platform.python_version(),
             "numpy": None,
+            "environment": {
+                name: value for name, value in sorted(os.environ.items())
+                if name.startswith(("PYTHON", "OPENBLAS_", "MALLOC_"))},
             "command": "python3 perfbench/run.py --workload W --seed N "
                        f"--seconds {args.seconds:g}",
             "protocol": "alternating pairs on copies of the parent commit "
