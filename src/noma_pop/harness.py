@@ -65,8 +65,6 @@ class Experiment:
             raise ValueError(spec.reject[1])
         if self.mc is not None and MC_FLAGS[0] not in spec.flags:
             raise ValueError(f"{self.kind} draws no Monte Carlo")
-
-    def values(self) -> np.ndarray:
         for bound, value in (("start", self.start), ("stop", self.stop)):
             if not math.isfinite(value):
                 raise ValueError(f"sweep {bound} must be finite, got {value}")
@@ -76,7 +74,11 @@ class Experiment:
             raise ValueError("sweep start must not exceed stop")
         if not math.isfinite(self.stop - self.start):
             raise ValueError("sweep span stop - start must be finite")
-        return np.linspace(self.start, self.stop, self.count)
+        if self.kind == "validate-mc" and self.mc is None:
+            raise ValueError(f"{self.kind} requires a Monte Carlo configuration")
+
+    def values(self) -> list[float]:
+        return np.linspace(self.start, self.stop, self.count).tolist()
 
 
 @dataclass
@@ -123,7 +125,7 @@ def run_sweep_alpha(exp: Experiment) -> ResultTable:
     The optimum is inserted as an extra row (is_alpha_star=1) in sweep order
     so the emitted curve passes exactly through it.
     """
-    entries = [(float(a), 0) for a in exp.values()]
+    entries = [(a, 0) for a in exp.values()]
     derived = DerivedParams.from_config(exp.base)
     summary = None
     try:
@@ -144,10 +146,7 @@ def run_validate_mc(exp: Experiment) -> ResultTable:
     The summary reports the largest |z| and how many points exceed the flag
     threshold; any flagged point is a validation failure.
     """
-    grid = [float(a) for a in exp.values()]
-    if exp.mc is None:
-        raise ValueError("validate-mc requires a Monte Carlo configuration")
-    report = validate(exp.base, grid, exp.mc)
+    report = validate(exp.base, exp.values(), exp.mc)
     rows = [dataclasses.asdict(r) for r in report]
     abs_z = [abs(r.z) for r in report]
     flagged = sum(1 for z in abs_z if z > Z_FLAG)
@@ -162,7 +161,7 @@ def _pop_body(args: argparse.Namespace, config: SystemConfig,
     row = {"alpha": args.alpha,
            **_pop_case(args.alpha, DerivedParams.from_config(config))}
     if mc is not None:
-        check = check_point(config, args.alpha, row["pop"], mc)
+        check = check_point(config, args.alpha, mc)
         row.update(mc_pop=check.mc_pop, std_err=check.std_err, z=check.z)
     return ResultTable([row])
 
@@ -206,7 +205,7 @@ def _sweep_rows(exp: Experiment, echo: tuple[str, ...],
         row.update(metrics(config))
         if exp.mc is not None:
             mc = dataclasses.replace(exp.mc, seed=point_seed(exp.mc.seed, i))
-            check = check_point(config, EPA_ALPHA, row["pop"], mc)
+            check = check_point(config, EPA_ALPHA, mc)
             row.update(mc_pop=check.mc_pop, std_err=check.std_err, z=check.z)
         rows.append(row)
     return ResultTable(rows, footer(rows) if footer else None)

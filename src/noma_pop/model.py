@@ -19,7 +19,7 @@ __all__ = ["Breakpoints", "DerivedParams", "SystemConfig", "breakpoints",
            "sinr_threshold", "sinrs", "zetas"]
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -183,28 +183,27 @@ class DerivedParams:
     pi1: float
     pi2: float
     beta: float
-    breakpoints: Breakpoints
+    breakpoints: Breakpoints = field(init=False)
 
     @classmethod
     def from_config(cls, config: SystemConfig) -> "DerivedParams":
         lp, e = config.path_loss_constant, config.path_loss_exponent
         try:  # a huge power in the conversions raises OverflowError
-            pi1 = sinr_threshold(config.r1_th)
-            pi2 = sinr_threshold(config.r2_th)
             return cls(
                 lambda1=mean_gain(config.d1, lp, e),
                 lambda2=mean_gain(config.d2, lp, e),
                 rho_t=db_to_linear(config.rho_t_db),
-                pi1=pi1,
-                pi2=pi2,
+                pi1=sinr_threshold(config.r1_th),
+                pi2=sinr_threshold(config.r2_th),
                 beta=config.beta,
-                breakpoints=breakpoints(pi1, pi2, config.beta),
             )
         except OverflowError:
             raise ValueError("a mean gain, the SNR or an SINR threshold "
                              "overflows a float") from None
 
     def __post_init__(self):
+        object.__setattr__(self, "breakpoints",
+                           breakpoints(self.pi1, self.pi2, self.beta))
         for name in ("lambda1", "lambda2", "rho_t", "pi1", "pi2"):
             value = getattr(self, name)
             if not 1.0 / SCALE_LIMIT <= value <= SCALE_LIMIT:

@@ -349,10 +349,11 @@ def point_seed(base_seed: int, index: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def check_point(config: SystemConfig, alpha: float, analytic_pop: float,
+def check_point(config: SystemConfig, alpha: float,
                 mc: McConfig) -> ValidationRow:
     """The MC estimate at one split, its standard error and its z against
-    the closed-form ``analytic_pop``."""
+    the closed form `analytic.pop_value` there."""
+    analytic_pop = analytic.pop_value(alpha, DerivedParams.from_config(config))
     est = pop_estimate(config, alpha, mc)
     return ValidationRow(alpha=float(alpha), analytic_pop=analytic_pop,
                          mc_pop=est.pop_hat, std_err=est.std_err,
@@ -370,7 +371,6 @@ def validate(config: SystemConfig, alpha_grid: Sequence[float],
     """
     if len(alpha_grid) == 0:
         raise ValueError("alpha_grid must be nonempty")
-    derived = DerivedParams.from_config(config)
-    return [check_point(config, alpha, analytic.pop_value(alpha, derived),
+    return [check_point(config, alpha,
                         replace(mc, seed=point_seed(mc.seed, i)))
             for i, alpha in enumerate(alpha_grid)]

@@ -65,19 +65,9 @@ def pop_reference(alpha, derived: DerivedParams) -> mp.mpf:
     return 1 - mp.e ** (-exponent)
 
 
-@pytest.fixture
-def pop_oracle():
-    return pop_reference
-
-
 def fd_reference(alpha: float, derived: DerivedParams,
                  step: str = "1e-7") -> mp.mpf:
     """Central finite difference of the high-precision POP oracle."""
     h = mp.mpf(step)
     return (pop_reference(mp.mpf(alpha) + h, derived)
             - pop_reference(mp.mpf(alpha) - h, derived)) / (2 * h)
-
-
-@pytest.fixture
-def fd_oracle():
-    return fd_reference

@@ -1,6 +1,7 @@
 """Tests for the experiment runners, config files, output, and CLI."""
 
 import dataclasses
+import math
 import os
 import re
 import subprocess
@@ -15,6 +16,7 @@ import noma_pop.montecarlo
 from noma_pop import harness
 from noma_pop import McConfig, pop_value, reference_config
 from noma_pop.harness import (
+    COMMANDS,
     EXIT_INVALID_INPUT,
     EXIT_NO_FEASIBLE_ALLOCATION,
     EXIT_OK,
@@ -209,6 +211,18 @@ class TestRunners:
         assert table.summary["flagged"] > 0
         assert table.failure == (f"{table.summary['flagged']} point(s) "
                                  "with |z| > 4.0")
+
+    @pytest.mark.parametrize("kind, start, stop, count, message", [
+        ("sweep-alpha", 0.1, 0.9, 1, "count must be >= 2"),
+        ("sweep-snr", math.nan, 80.0, 9, "start must be finite"),
+        ("compare", 150.0, 100.0, 5, "start must not exceed stop"),
+        ("validate-mc", 0.2, 0.8, 4, "requires a Monte Carlo"),
+    ])
+    def test_invalid_sweep_rejected_when_built(self, ref_config, kind, start,
+                                               stop, count, message):
+        axis = next(iter(COMMANDS[kind].axes))
+        with pytest.raises(ValueError, match=message):
+            Experiment(kind, ref_config, axis, start, stop, count)
 
     def test_validate_mc_requires_mc(self, ref_config):
         with pytest.raises(ValueError):

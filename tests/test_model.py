@@ -247,6 +247,14 @@ class TestBreakpoints:
         with pytest.raises(ValueError):
             breakpoints(0.0, 0.1, 0.2)
 
+    def test_derived_params_work_out_their_breakpoints(self, ref_derived):
+        d = ref_derived
+        assert DerivedParams(d.lambda1, d.lambda2, d.rho_t, d.pi1, d.pi2,
+                             d.beta) == d
+        moved = dataclasses.replace(d, beta=2.0)
+        assert moved.breakpoints == breakpoints(d.pi1, d.pi2, 2.0)
+        assert moved.breakpoints != d.breakpoints
+
 
 class TestSystemConfig:
     def test_reference_defaults(self, ref_derived):
@@ -317,6 +325,8 @@ class TestSystemConfig:
         ("rho_t_db", 600.0, "rho_t=1e\\+60 must lie in"),
         ("path_loss_constant", 1e-320, "lambda1=.* must lie in"),
         ("r2_th", 200.0, "pi2=.* must lie in"),
+        # 2**1e-300 - 1 rounds to 0: the breakpoints' check comes first
+        ("r1_th", 1e-300, "SINR thresholds must be positive"),
     ])
     def test_derived_scale_out_of_range(self, field, value, message):
         config = dataclasses.replace(reference_config(), pt_dbm=None,

@@ -554,7 +554,7 @@ class TestCalibration:
                 continue
             mc = McConfig(trials=20_000, seed=point_seed(1602, i),
                           chunk=20_000)  # one chunk: the caller's kernel
-            zs.append(check_point(config, alpha, pop, mc).z)
+            zs.append(check_point(config, alpha, mc).z)
         n = len(zs)
         stouffer = sum(zs) / math.sqrt(n)
         spread = (sum(z * z for z in zs) - n) / math.sqrt(2 * n)
@@ -591,9 +591,8 @@ class TestValidate:
 
     def test_rows_are_check_points_on_point_seeds(self, ref_config):
         rows = validate(ref_config, [0.3, 0.6], FAST_MC)
-        derived = DerivedParams.from_config(ref_config)
         assert rows == [check_point(
-            ref_config, a, pop_value(a, derived),
+            ref_config, a,
             dataclasses.replace(FAST_MC, seed=point_seed(FAST_MC.seed, i)))
             for i, a in enumerate([0.3, 0.6])]
 

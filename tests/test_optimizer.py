@@ -325,8 +325,7 @@ def pinned_derived(key: str) -> DerivedParams:
     # the case-2 interval is empty for every beta <= 1 (alpha5 >= alpha2), so
     # only a hand-built beta = 2, outside SystemConfig's range, reaches a
     # feasible case-2 root
-    return dataclasses.replace(d, beta=2.0,
-                               breakpoints=breakpoints(d.pi1, d.pi2, 2.0))
+    return dataclasses.replace(d, beta=2.0)
 
 
 class TestPinnedCandidates:

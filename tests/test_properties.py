@@ -24,7 +24,6 @@ from noma_pop import (
     McConfig,
     NoFeasibleAllocationError,
     SystemConfig,
-    breakpoints,
     classify_case,
     optimize,
     pop_curve,
@@ -201,7 +200,7 @@ def test_sweep_axis_rejects_non_finite(bound, bad, other, count):
     exp = Experiment("sweep-snr", reference_config(), "rho_t_db",
                      start=other, stop=other, count=count)
     with pytest.raises(ValueError, match=f"sweep {bound} must be finite"):
-        dataclasses.replace(exp, **{bound: bad}).values()
+        dataclasses.replace(exp, **{bound: bad})
 
 
 field_values = st.one_of(
@@ -319,8 +318,7 @@ def test_cleared_conditions_count_like_ratios_at_scale_corners(
     # The rows put the mean gains, the SNR and the thresholds at the ends of
     # [1e-50, 1e50], so those products run from about 1e-101 to 2e101. The
     # parameters are built directly: no rate r gives pi = 2**r - 1 = 1e-50.
-    d = DerivedParams(lambda1, lambda2, rho_t, pi1, pi2, beta,
-                      breakpoints(pi1, pi2, beta))
+    d = DerivedParams(lambda1, lambda2, rho_t, pi1, pi2, beta)
     # each split lies at least 10% away from every breakpoint
     assert len({classify_case(a, d)
                 for a in (0.9 * alpha, alpha, 1.1 * alpha)}) == 1

@@ -71,10 +71,12 @@ def bench(tree: Path, workload: str, seed: int, seconds: float,
 
 def summarize(runs: list[dict]) -> dict:
     """Per workload and end-to-end metric: each side's median and
-    quartiles, the change's wins over its pair, the failed operations and
-    two verdicts. ``claim_rule_met``: at least 10 pairs ran, the change won
-    at least 9 in 10 of them, and its median beats the parent's by more
-    than the parent's q3 - q1.
+    quartiles, the change's wins over its pair, the failed operations, each
+    side's failed share (failed over attempted operations, summed over the
+    completed pairs) and two verdicts. ``claim_rule_met``: at least 10
+    pairs ran, the change won at least 9 in 10 of them, its median beats
+    the parent's by more than the parent's q3 - q1, and its failed share is
+    no larger than the parent's.
     ``bound_verdict``, against the metric's ``bound`` in ``BENCHMARK.json``
     relative to the parent's median: "unresolved" when the parent's q3 - q1
     is wider than that bound, unless every change run beats every parent
@@ -93,6 +95,8 @@ def summarize(runs: list[dict]) -> dict:
             continue
         failed = {side: sum(p[side]["failed"] for p in done)
                   for side in ("parent", "change")}
+        share = {side: failed[side] / sum(p[side]["attempted"] for p in done)
+                 for side in ("parent", "change")}
         summary[workload] = {}
         for name, direction in better.items():
             value = {side: [p[side]["metrics"][name]["value"] for p in done]
@@ -110,7 +114,8 @@ def summarize(runs: list[dict]) -> dict:
             gain = sign * (row["change_median"] - row["parent_median"])
             row["claim_rule_met"] = (
                 len(done) >= 10 and 10 * row["change_wins"] >= 9 * len(done)
-                and gain > row["parent_q3"] - row["parent_q1"])
+                and gain > row["parent_q3"] - row["parent_q1"]
+                and share["change"] <= share["parent"])
             limit = bound[name] * abs(row["parent_median"])
             separated = (min(sign * c for c in value["change"])
                          > max(sign * p for p in value["parent"]))
@@ -120,6 +125,8 @@ def summarize(runs: list[dict]) -> dict:
                 row["bound_verdict"] = "worse" if gain < -limit else "within"
             row["parent_failed"] = failed["parent"]
             row["change_failed"] = failed["change"]
+            row["parent_failed_share"] = share["parent"]
+            row["change_failed_share"] = share["change"]
             summary[workload][name] = row
     return summary
 
