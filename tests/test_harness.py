@@ -217,7 +217,7 @@ class TestRunners:
         ("sweep-snr", math.nan, 80.0, 9, "start must be finite"),
         ("compare", 150.0, 100.0, 5, "start must not exceed stop"),
         ("validate-mc", 0.2, 0.8, 4, "requires a Monte Carlo"),
-    ])
+    ], ids=["count_1", "nan_start", "start_above_stop", "no_mc"])
     def test_invalid_sweep_rejected_when_built(self, ref_config, kind, start,
                                                stop, count, message):
         axis = next(iter(COMMANDS[kind].axes))
