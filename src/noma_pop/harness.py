@@ -236,14 +236,12 @@ def _outside_unit_interval(exp: Experiment) -> bool:
     return not (0.0 < exp.start and exp.stop < 1.0)
 
 
-# the Monte Carlo options, on the subcommands that draw Monte Carlo only
+# --seed and --trials, on the subcommands that draw Monte Carlo only
 MC_FLAGS = (
     ("--seed", {"type": int, "default": McConfig().seed,
                 "help": "Monte Carlo seed"}),
     ("--trials", {"type": int, "default": McConfig().trials,
                   "help": "Monte Carlo trials per point"}),
-    ("--chunk", {"type": int, "default": McConfig().chunk,
-                 "help": "trials per deterministic substream"}),
 )
 # where the Monte Carlo columns are opt-in
 WITH_MC = (("--with-mc", {"action": "store_true", "help":
@@ -412,7 +410,7 @@ def _drop_stdout() -> None:
 
 def _dispatch(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else reference_config()
-    mc = (McConfig(trials=args.trials, seed=args.seed, chunk=args.chunk)
+    mc = (McConfig(trials=args.trials, seed=args.seed)
           if "trials" in args else None)  # checked also without --with-mc
     if not getattr(args, "with_mc", True):
         mc = None

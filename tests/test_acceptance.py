@@ -240,7 +240,7 @@ def test_criterion_9_validate_mc_determinism(tmp_path):
     """Two identical validate-mc CLI runs emit byte-identical CSV."""
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["validate-mc", "--count", "9", "--trials", "100000",
-            "--chunk", "25000", "--seed", str(SEED)]
+            "--seed", str(SEED)]
     code1 = main(args + ["--out", str(out1)])
     code2 = main(args + ["--out", str(out2)])
     identical = out1.read_bytes() == out2.read_bytes()

@@ -1,8 +1,10 @@
-"""The claim rule and bound verdicts of ``tools/bench_pairs.py``'s
-``summarize``, on synthetic runs."""
+"""The claim rule, bound verdicts and start-up figure of
+``tools/bench_pairs.py``'s ``summarize``, on synthetic runs."""
 
 import importlib.util
 from pathlib import Path
+
+import pytest
 
 _PATH = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
@@ -12,20 +14,30 @@ _SPEC.loader.exec_module(bench_pairs)
 TIGHT = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]
 
 
-def row(parent, change, metric="wall_s", failed=(0, 0)):
-    """The summary row of ``metric`` for pairs of parent and change values;
-    every other metric reads 1.0 on both sides. Each run attempts 100
-    operations, of which ``failed`` (parent, change) fail."""
+def summary(parent, change, metric="wall_s", failed=(0, 0), startup=None):
+    """The ``cli`` summary of pairs of parent and change values of
+    ``metric``; every other metric reads 1.0 on both sides. Each run
+    attempts 100 operations, of which ``failed`` (parent, change) fail.
+    ``startup`` gives each pair's (parent, change) start-up samples; by
+    default each run has one of 0.1 s."""
+    startup = startup or [([0.1], [0.1])] * len(parent)
     runs = []
-    for pair, values in enumerate(zip(parent, change), 1):
-        for side, value, fails in zip(("parent", "change"), values, failed):
+    for pair, (p, c, samples) in enumerate(zip(parent, change, startup), 1):
+        for side, value, fails, times in zip(("parent", "change"), (p, c),
+                                             failed, samples):
             metrics = {m["name"]: {"value": 1.0}
                        for m in bench_pairs.SPEC["end_to_end"]}
             metrics[metric] = {"value": value}
             runs.append({"pair": pair, "side": side, "workload": "cli",
                          "result": {"attempted": 100, "failed": fails,
-                                    "metrics": metrics}})
-    return bench_pairs.summarize(runs)["cli"][metric]
+                                    "metrics": metrics},
+                         "startup_exact_s": times})
+    return bench_pairs.summarize(runs)["cli"]
+
+
+def row(parent, change, metric="wall_s", failed=(0, 0)):
+    """The summary row of ``metric`` (see ``summary``)."""
+    return summary(parent, change, metric, failed)[metric]
 
 
 def test_ten_wins_beyond_the_parent_spread_meet_the_claim():
@@ -66,3 +78,14 @@ def test_a_higher_is_better_metric_wins_upward():
     assert up["claim_rule_met"] and up["bound_verdict"] == "within"
     down = row(items, [v - 30.0 for v in items], metric="items_per_s")
     assert down["change_wins"] == 0 and down["bound_verdict"] == "worse"
+
+
+def test_startup_samples_pool_over_the_pairs():
+    # the parent's two pairs pool to 0.10..0.15, the change's to five
+    # 0.05s and one 0.06; statistics.quantiles' exclusive method
+    startup = [([0.10, 0.11, 0.12], [0.05, 0.05, 0.05]),
+               ([0.13, 0.14, 0.15], [0.05, 0.05, 0.06])]
+    got = summary(TIGHT[:2], TIGHT[:2], startup=startup)["startup_exact_s"]
+    assert got == pytest.approx({
+        "parent_q1": 0.1075, "parent_median": 0.125, "parent_q3": 0.1425,
+        "change_q1": 0.05, "change_median": 0.05, "change_q3": 0.0525})

@@ -28,7 +28,7 @@ from conftest import pop_reference
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 FORMATS = ("csv", "json")
-MC = ["--trials", "20000", "--chunk", "7000"]
+MC = ["--trials", "20000"]
 
 # name -> (argv without --format, expected exit code)
 CASES = {

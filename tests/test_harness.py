@@ -30,7 +30,7 @@ from noma_pop.harness import (
     run,
 )
 
-FAST = ["--trials", "50000", "--chunk", "25000", "--seed", "7"]
+FAST = ["--trials", "50000", "--seed", "7"]
 # runs the CLI as the console script does, then writes its lane pids to
 # argv[1] and, from an exit handler that runs after the CLI's own, the
 # gc.get_freeze_count() it sees to argv[1] + ".frozen"; with argv[2] ==
@@ -570,7 +570,7 @@ class TestOptimizeCheck:
 # the subcommands that draw Monte Carlo and so take the MC options
 DRAWS_MC = {"pop", "sweep-threshold", "validate-mc"}
 COMMON = [("config", None), ("out", None), ("format", "csv")]
-MC = [("seed", 12345), ("trials", 1000000), ("chunk", 250000)]
+MC = [("seed", 12345), ("trials", 1000000)]
 
 # vars() of each subcommand's parsed defaults, key order included; the order
 # follows the add_argument calls, so a reordered flag shows up here. The
@@ -609,7 +609,7 @@ class TestParser:
     def test_help_lists_mc_options_where_mc_is_drawn(self, capsys, command):
         assert main([command, "--help"]) == EXIT_OK
         out = capsys.readouterr().out
-        for flag in ("--seed", "--trials", "--chunk"):
+        for flag in ("--seed", "--trials"):
             assert (flag in out) == (command in DRAWS_MC)
         # --with-mc, where the Monte Carlo columns are opt-in, is described
         described = ("--with-mc cross-check with the Monte Carlo estimator"
@@ -630,9 +630,10 @@ class TestParser:
 
 
 class TestMcFlagsChecked:
-    """``--seed``/``--trials``/``--chunk`` are checked on the subcommands
-    that draw Monte Carlo, also without ``--with-mc``, and the error names
-    the option; the others do not know them."""
+    """``--seed``/``--trials`` are checked on the subcommands that draw
+    Monte Carlo, also without ``--with-mc``, and the error names the option;
+    the others do not know them. No subcommand knows ``--chunk``: the CLI
+    draws in ``McConfig``'s fixed substreams."""
 
     @pytest.mark.parametrize("command", [
         ["optimize", "--trials", "0"],
@@ -643,12 +644,15 @@ class TestMcFlagsChecked:
          "10000000000000000000000000"],
         # numpy's seed check would say only "expected non-negative integer"
         ["pop", "--seed", "-1"],
+        ["pop", "--chunk", "7000"],
+        ["sweep-threshold", "--chunk", "7000"],
+        ["validate-mc", "--chunk", "7000"],
     ])
     def test_rejected_with_one_error_line(self, capsys, command):
         assert main(command) == EXIT_INVALID_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
-        if command[0] not in DRAWS_MC:
+        if command[0] not in DRAWS_MC or command[1] == "--chunk":
             assert captured.err.endswith(
                 f"error: unrecognized arguments: {' '.join(command[1:])}\n")
             return

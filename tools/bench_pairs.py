@@ -17,7 +17,14 @@ The output holds every run and, per workload and end-to-end metric of
 ``BENCHMARK.json``, each side's median and quartiles
 (``statistics.quantiles(n=4)``), the number of pairs the change won, and
 whether the metric meets the claim rule and stays within its bound (see
-``summarize``). Its ``environment`` holds the ``PYTHON*``, ``OPENBLAS_*``
+``summarize``). After each end-to-end run, ``STARTUP_SAMPLES`` fresh
+``python -c "import noma_pop"`` processes in that tree are timed and kept
+with the run; the summary's ``startup_exact_s`` gives each side's median
+and quartiles of them, beside the end-to-end rows. It is a report only:
+``perfbench/run.py`` times the same import for ``setup_s``, but it waits
+with a timeout, so its samples land on the 1, 2, 4, ... 50 ms polls of
+``Popen.wait``, while these wait in a blocking ``waitpid`` that returns when
+the child exits. Its ``environment`` holds the ``PYTHON*``, ``OPENBLAS_*``
 and ``MALLOC_*`` variables that every run inherits, since they change what
 the workloads measure. It is rewritten after every run, so an interrupted
 session keeps what it ran.
@@ -35,11 +42,13 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 RUN_TIMEOUT_S = 600
+STARTUP_SAMPLES = 6
 
 
 def unpack(rev: str, dest: Path) -> str:
@@ -69,6 +78,28 @@ def bench(tree: Path, workload: str, seed: int, seconds: float,
     return details, result
 
 
+def startup_times(tree: Path) -> list[float]:
+    """Wall times of ``STARTUP_SAMPLES`` fresh interpreters that import
+    ``noma_pop`` from ``tree``. No timeout: the wait blocks until the child
+    exits, so the time is not rounded up to the next poll."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    times = []
+    for _ in range(STARTUP_SAMPLES):
+        t = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import noma_pop"], env=env,
+                       cwd=tree, check=True)
+        times.append(time.perf_counter() - t)
+    return times
+
+
+def side_quartiles(side: str, values: list[float]) -> dict:
+    """``side``'s median, q1 and q3 of ``values`` by
+    ``statistics.quantiles(n=4)``; one value is all three."""
+    q1, median, q3 = (statistics.quantiles(values, n=4) if len(values) > 1
+                      else [values[0]] * 3)
+    return {f"{side}_median": median, f"{side}_q1": q1, f"{side}_q3": q3}
+
+
 def summarize(runs: list[dict]) -> dict:
     """Per workload and end-to-end metric: each side's median and
     quartiles, the change's wins over its pair, the failed operations, each
@@ -81,7 +112,8 @@ def summarize(runs: list[dict]) -> dict:
     relative to the parent's median: "unresolved" when the parent's q3 - q1
     is wider than that bound, unless every change run beats every parent
     run; else "worse" when the change's median is worse than the parent's
-    by more than the bound; else "within"."""
+    by more than the bound; else "within". ``startup_exact_s``: each
+    side's median and quartiles of the start-up samples of those pairs."""
     better = {m["name"]: m["better"] for m in SPEC["end_to_end"]}
     bound = {m["name"]: m["bound"] for m in SPEC["end_to_end"]}
     summary = {}
@@ -89,25 +121,23 @@ def summarize(runs: list[dict]) -> dict:
         pairs: dict[int, dict] = {}
         for r in runs:
             if r["workload"] == workload:
-                pairs.setdefault(r["pair"], {})[r["side"]] = r["result"]
+                pairs.setdefault(r["pair"], {})[r["side"]] = r
         done = [p for p in pairs.values() if len(p) == 2]
         if not done:
             continue
-        failed = {side: sum(p[side]["failed"] for p in done)
+        failed = {side: sum(p[side]["result"]["failed"] for p in done)
                   for side in ("parent", "change")}
-        share = {side: failed[side] / sum(p[side]["attempted"] for p in done)
+        share = {side: failed[side]
+                 / sum(p[side]["result"]["attempted"] for p in done)
                  for side in ("parent", "change")}
         summary[workload] = {}
         for name, direction in better.items():
-            value = {side: [p[side]["metrics"][name]["value"] for p in done]
-                     for side in ("parent", "change")}
+            value = {side: [p[side]["result"]["metrics"][name]["value"]
+                            for p in done] for side in ("parent", "change")}
             sign = 1 if direction == "higher" else -1
             row = {}
             for side in ("parent", "change"):
-                q1, median, q3 = (statistics.quantiles(value[side], n=4)
-                                  if len(done) > 1 else [value[side][0]] * 3)
-                row.update({f"{side}_median": median, f"{side}_q1": q1,
-                            f"{side}_q3": q3})
+                row.update(side_quartiles(side, value[side]))
             row["change_wins"] = sum(sign * (c - p) > 0 for p, c in
                                      zip(value["parent"], value["change"]))
             row["pairs"] = len(done)
@@ -128,6 +158,11 @@ def summarize(runs: list[dict]) -> dict:
             row["parent_failed_share"] = share["parent"]
             row["change_failed_share"] = share["change"]
             summary[workload][name] = row
+        startup = {}
+        for side in ("parent", "change"):
+            startup.update(side_quartiles(side, [
+                t for p in done for t in p[side]["startup_exact_s"]]))
+        summary[workload]["startup_exact_s"] = startup
     return summary
 
 
@@ -212,7 +247,8 @@ def main(argv=None) -> int:
             else:
                 record["runs"].append({
                     "pair": pair, "side": side, "workload": workload,
-                    "seed": seed, "ran_first": ran_first, "result": result})
+                    "seed": seed, "ran_first": ran_first, "result": result,
+                    "startup_exact_s": startup_times(trees[side])})
             record["summary"] = summarize(record["runs"])
             args.out.write_text(json.dumps(record, indent=1) + "\n")
             print(f"{workload} {side} seed {seed}"
