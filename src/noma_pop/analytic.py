@@ -19,7 +19,6 @@ __all__ = ["Case", "NotDifferentiableError", "classify_case", "dpop_dalpha",
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,14 +82,6 @@ def classify_case(alpha: float, derived: DerivedParams) -> Case:
     return Case.CASE5
 
 
-@dataclass(frozen=True)
-class PopValue:
-    """POP at one split: the value and the active case."""
-
-    value: float
-    case: Case
-
-
 # per-case binding thresholds, as indices into (zeta1, zeta2, zeta3, zeta4)
 _CASE_ZETAS = {Case.CASE1: (0, 2), Case.CASE2: (0, 3),
                Case.CASE3: (1, 2), Case.CASE4: (1, 3)}
@@ -106,10 +97,9 @@ def _pop(z: ZetaTuple, derived: DerivedParams):
     return -np.expm1(-exponent)
 
 
-def pop(alpha: float, derived: DerivedParams) -> PopValue:
+def pop(alpha: float, derived: DerivedParams) -> tuple[float, Case]:
     """Pair outage probability at power split alpha, with its case label."""
-    return PopValue(value=pop_value(alpha, derived),
-                    case=classify_case(alpha, derived))
+    return pop_value(alpha, derived), classify_case(alpha, derived)
 
 
 def pop_value(alpha: float, derived: DerivedParams) -> float:

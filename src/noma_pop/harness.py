@@ -87,13 +87,13 @@ class ResultTable:
     the footer, and the ``failure`` of a check that ran and failed."""
 
     rows: list[dict]
-    summary: dict | None = None
+    summary: dict = field(default_factory=dict)
     failure: str | None = None
 
 
 def _pop_case(alpha: float, derived: DerivedParams) -> dict:
-    p = analytic.pop(alpha, derived)
-    return {"pop": p.value, "case": p.case.label}
+    value, case = analytic.pop(alpha, derived)
+    return {"pop": value, "case": case.label}
 
 
 def _epa_metrics(config: SystemConfig) -> dict:
@@ -127,7 +127,7 @@ def run_sweep_alpha(exp: Experiment) -> ResultTable:
     """
     entries = [(a, 0) for a in exp.values()]
     derived = DerivedParams.from_config(exp.base)
-    summary = None
+    summary = {}
     try:
         alpha_star, pop_star, _ = optimize(exp.base)
         entries.append((alpha_star, 1))
@@ -208,7 +208,7 @@ def _sweep_rows(exp: Experiment, echo: tuple[str, ...],
             check = check_point(config, EPA_ALPHA, mc)
             row.update(mc_pop=check.mc_pop, std_err=check.std_err, z=check.z)
         rows.append(row)
-    return ResultTable(rows, footer(rows) if footer else None)
+    return ResultTable(rows, footer(rows) if footer else {})
 
 
 @dataclass(frozen=True)
@@ -347,12 +347,12 @@ def render_csv(table: ResultTable, config: SystemConfig, title: str,
         f"{name}={value}" for name, value in dataclasses.asdict(config).items()
         if value is not None)
     if mc is not None:
-        header += f" | trials={mc.trials} seed={mc.seed} chunk={mc.chunk}"
+        header += " | " + " ".join(
+            f"{name}={value}" for name, value in dataclasses.asdict(mc).items())
     columns = list(table.rows[0])
     lines = [header, ",".join(columns)]
     lines += [",".join(str(row[c]) for c in columns) for row in table.rows]
-    lines += [f"# {key}={value}"
-              for key, value in (table.summary or {}).items()]
+    lines += [f"# {key}={value}" for key, value in table.summary.items()]
     return "\n".join(lines) + "\n"
 
 

@@ -159,7 +159,6 @@ def grid_oracle(config: SystemConfig) -> tuple[float, float]:
     derived = DerivedParams.from_config(config)
     ks = np.arange(1, math.ceil(1.0 / GRID_STEP))
     alphas = ks * GRID_STEP
-    alphas = alphas[alphas < 1.0]
     values, _ = pop_curve(alphas, derived)
     idx = int(np.argmin(values))  # first minimum = smallest alpha
     return float(alphas[idx]), float(values[idx])

@@ -95,16 +95,20 @@ class TestPop:
         assert pop_value(0.99, ref_derived) == 1.0
 
     def test_reference_value(self, ref_derived):
-        got = pop(0.5, ref_derived)
-        assert got.case is Case.CASE3
+        value, case = pop(0.5, ref_derived)
+        assert case is Case.CASE3
         # frozen against the high-precision oracle
-        assert got.value == pytest.approx(0.15968397662611256, rel=1e-13)
+        assert value == pytest.approx(0.15968397662611256, rel=1e-13)
         # and equal to the explicit factor product at this case
         from noma_pop import zetas
         z = zetas(0.5, ref_derived)
         expect = 1.0 - (math.exp(-z.zeta2 / ref_derived.lambda1)
                         * math.exp(-z.zeta3 / ref_derived.lambda2))
-        assert got.value == pytest.approx(expect, rel=1e-13)
+        assert value == pytest.approx(expect, rel=1e-13)
+
+    def test_pop_is_the_value_and_case_pair(self, ref_derived):
+        assert pop(0.5, ref_derived) == (pop_value(0.5, ref_derived),
+                                         Case.CASE3)
 
     def test_high_snr_limit(self):
         cfg = dataclasses.replace(reference_config(), rho_t_db=150.0,

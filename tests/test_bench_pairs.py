@@ -1,5 +1,6 @@
 """The claim rule, bound verdicts and start-up figure of
-``tools/bench_pairs.py``'s ``summarize``, on synthetic runs."""
+``tools/bench_pairs.py``'s ``summarize``, on synthetic runs, and its
+per-file line counts on a small tree."""
 
 import importlib.util
 from pathlib import Path
@@ -89,3 +90,13 @@ def test_startup_samples_pool_over_the_pairs():
     assert got == pytest.approx({
         "parent_q1": 0.1075, "parent_median": 0.125, "parent_q3": 0.1425,
         "change_q1": 0.05, "change_median": 0.05, "change_q3": 0.0525})
+
+
+def test_module_lines_count_newlines_per_file_under_src(tmp_path):
+    pkg = tmp_path / "src" / "pkg"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("x = 1\ny = 2\n")
+    (pkg / "mod.py").write_text("a\n\nb")  # no newline after the last line
+    (pkg / "notes.txt").write_text("not counted\n")
+    assert bench_pairs.module_lines(tmp_path) == {"pkg/__init__.py": 2,
+                                                  "pkg/mod.py": 2}

@@ -241,6 +241,9 @@ class TestRunners:
 
 
 class TestOutput:
+    def test_summary_defaults_to_an_empty_dict(self):
+        assert harness.ResultTable([{"a": 1}]).summary == {}
+
     def test_all_emitted_probabilities_in_range(self, ref_config):
         exp = Experiment("compare", ref_config,
                          "d2", 60.0, 200.0, 8)

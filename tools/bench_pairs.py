@@ -26,8 +26,10 @@ with a timeout, so its samples land on the 1, 2, 4, ... 50 ms polls of
 ``Popen.wait``, while these wait in a blocking ``waitpid`` that returns when
 the child exits. Its ``environment`` holds the ``PYTHON*``, ``OPENBLAS_*``
 and ``MALLOC_*`` variables that every run inherits, since they change what
-the workloads measure. It is rewritten after every run, so an interrupted
-session keeps what it ran.
+the workloads measure. Its ``src_module_lines`` gives each side's line
+count of every ``*.py`` file under ``src/``, as ``wc -l`` counts them; the
+counts of a side sum to its ``src_lines``. It is rewritten after every run,
+so an interrupted session keeps what it ran.
 """
 
 from __future__ import annotations
@@ -61,6 +63,14 @@ def unpack(rev: str, dest: Path) -> str:
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
     return commit
+
+
+def module_lines(tree: Path) -> dict[str, int]:
+    """Newlines in each ``*.py`` file under ``tree/src``, by its path
+    relative to ``src``, the files ``perfbench/run.py`` counts."""
+    src = tree / "src"
+    return {path.relative_to(src).as_posix(): path.read_bytes().count(b"\n")
+            for path in sorted(src.rglob("*.py"))}
 
 
 def bench(tree: Path, workload: str, seed: int, seconds: float,
@@ -224,6 +234,8 @@ def main(argv=None) -> int:
                         f"{seeds}; traced runs --seed 1 --seconds "
                         f"{args.traced_seconds:g} --trace 1",
             "src_lines": {},
+            "src_module_lines": {side: module_lines(tree)
+                                 for side, tree in trees.items()},
             "summary": {},
             "runs": [],
             "traced": [],
